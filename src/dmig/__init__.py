@@ -30,7 +30,6 @@ from .estimation import (
     conditional_entropy,
     entropy_continuous,
     entropy_discrete,
-    mi_continuous,
     mi_continuous_detailed,
     mi_discrete,
     spearman,
@@ -45,10 +44,8 @@ from .metrics import (
     AttributeMetrics,
     Dataset,
     MetricReport,
-    MigResult,
     MIProfile,
     compute_dmig,
-    compute_mig,
     evaluate,
     mi_profile,
 )
@@ -99,7 +96,6 @@ __all__ = [
     "MetricComputationError",
     "MetricReport",
     "MIEstimate",
-    "MigResult",
     "MIProfile",
     "PlotSpec",
     "SampleColumn",
@@ -108,7 +104,6 @@ __all__ = [
     "UndefinedCorrelationError",
     "ZeroEntropyAttributeError",
     "compute_dmig",
-    "compute_mig",
     "conditional_entropy",
     "discrete_truth",
     "entropy_continuous",
@@ -118,7 +113,6 @@ __all__ = [
     "gen_discrete_joint",
     "gen_gaussian_pair",
     "gen_trajectory",
-    "mi_continuous",
     "mi_continuous_detailed",
     "mi_discrete",
     "mi_profile",

@@ -25,16 +25,8 @@ from .dataio import (
     write_truth,
 )
 from .errors import DmigError, FileFormatError, SpecValidationError
-from .estimation import (
-    DISCRETE,
-    EstimatorConfig,
-    conditional_entropy,
-    entropy_continuous,
-    entropy_discrete,
-    mi_continuous,
-    mi_discrete,
-)
-from .metrics import MetricReport, evaluate
+from .estimation import EstimatorConfig
+from .metrics import MetricReport, compute_dmig, evaluate, mi_profile
 from .plotting import METRICS, PlotSpec, render_series_scatter
 from .synthetic import (
     SyntheticSpec,
@@ -78,11 +70,16 @@ def _print_report(report: MetricReport, heading: str | None = None) -> None:
 
 
 def _estimator_config(args: argparse.Namespace) -> EstimatorConfig:
-    return EstimatorConfig(k=args.k, jitter=args.jitter, seed=args.seed)
+    try:
+        return EstimatorConfig(k=args.k, jitter=args.jitter, seed=args.seed)
+    except DmigError as exc:
+        raise SpecValidationError(f"invalid estimator flag: {exc}") from None
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
     cfg = _estimator_config(args)
+    if args.workers < 1:
+        raise SpecValidationError(f"--workers must be >= 1, got {args.workers}")
     if len(args.dataset) == 1:
         path = args.dataset[0]
         report = evaluate(read_dataset(path), cfg, workers=args.workers)
@@ -174,30 +171,19 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         raise FileFormatError(
             f"{truth_path} describes 2 attributes but {path} has M={ds.m}"
         )
-    cfg = _estimator_config(args)
-    a1, a2 = ds.attributes
-
-    def marginal(a):
-        return entropy_discrete(a) if a.kind == DISCRETE else entropy_continuous(a, cfg)
-
-    if a1.kind == DISCRETE and a2.kind == DISCRETE:
-        i_est = mi_discrete(a1, a2)
-    else:
-        i_est = mi_continuous(a1, a2, cfg)
+    profile = mi_profile(ds, _estimator_config(args))
+    h, h_cond = profile.h_marginal, profile.h_cond
     rows = [
-        ("h_a1", marginal(a1), truth.h_a[0]),
-        ("h_a2", marginal(a2), truth.h_a[1]),
-        ("i_a1a2", i_est, truth.i_a1a2),
-        ("h_cond12", conditional_entropy(a1, a2, cfg), truth.h_cond[0][1]),
-        ("h_cond21", conditional_entropy(a2, a1, cfg), truth.h_cond[1][0]),
+        ("h_a1", h[0], truth.h_a[0]),
+        ("h_a2", h[1], truth.h_a[1]),
+        ("i_a1a2", h[0] - h_cond[0][1], truth.i_a1a2),
+        ("h_cond12", h_cond[0][1], truth.h_cond[0][1]),
+        ("h_cond21", h_cond[1][0], truth.h_cond[1][0]),
     ]
-    if any(np.isfinite(v) for v in truth.ideal_dmig):
-        report = evaluate(ds, cfg)
-        for i in range(2):
-            if np.isfinite(truth.ideal_dmig[i]):
-                rows.append(
-                    (f"dmig_a{i + 1}", report.per_attribute[i].dmig, truth.ideal_dmig[i])
-                )
+    for i in range(2):
+        if np.isfinite(truth.ideal_dmig[i]):
+            dmig = compute_dmig(i, profile, ds.regularized_map).dmig
+            rows.append((f"dmig_a{i + 1}", dmig, truth.ideal_dmig[i]))
 
     print(f"oracle check: {family} (tolerance {args.tol})")
     print(f"{'quantity':<10}{'estimate':>14}{'truth':>14}{'abs error':>12}  verdict")

@@ -21,12 +21,22 @@ from __future__ import annotations
 import math
 import re
 from pathlib import Path
+from typing import get_args
 
 import numpy as np
 
 from .errors import DmigError, FileFormatError
 from .estimation import CONTINUOUS, DISCRETE, EstimatorConfig, SampleColumn
-from .metrics import AttributeMetrics, Dataset, MetricReport
+from .metrics import (
+    FLAG_DMIG_ABOVE_ONE,
+    FLAG_NEAR_ZERO_DENOMINATOR,
+    FLAG_NEGATIVE_DENOMINATOR,
+    FLAG_REGULARIZATION_FAILURE,
+    AttributeMetrics,
+    Branch,
+    Dataset,
+    MetricReport,
+)
 from .synthetic import GroundTruth
 
 __all__ = [
@@ -46,6 +56,15 @@ FORMAT_LINE = "#format v1"
 
 _KIND_TO_TOKEN = {CONTINUOUS: "cont", DISCRETE: "disc"}
 _TOKEN_TO_KIND = {"cont": CONTINUOUS, "disc": DISCRETE}
+
+_FLAGS = frozenset(
+    {
+        FLAG_DMIG_ABOVE_ONE,
+        FLAG_NEAR_ZERO_DENOMINATOR,
+        FLAG_NEGATIVE_DENOMINATOR,
+        FLAG_REGULARIZATION_FAILURE,
+    }
+)
 
 _Z_TOKEN = re.compile(r"^z([1-9][0-9]*)$")
 _MAP_LINE = re.compile(r"^#map a(.+) -> z([1-9][0-9]*)$")
@@ -265,6 +284,30 @@ def _report_body(report: MetricReport) -> list[str]:
     return lines
 
 
+def _parse_kv(text: str, where: str) -> dict[str, str]:
+    kv = {}
+    for item in text.split(" "):
+        key, sep, value = item.partition("=")
+        if not sep:
+            raise FileFormatError(f"{where}: expected key=value, got {item!r}")
+        kv[key] = value
+    return kv
+
+
+def _parse_branch(tok: str, where: str) -> Branch:
+    if tok not in get_args(Branch):
+        raise FileFormatError(f"{where}: unknown branch {tok!r}")
+    return tok
+
+
+def _parse_flags(tok: str, where: str) -> frozenset[str]:
+    flags = frozenset() if tok == "-" else frozenset(tok.split(","))
+    unknown = flags - _FLAGS
+    if unknown:
+        raise FileFormatError(f"{where}: unknown flags {sorted(unknown)}")
+    return flags
+
+
 def _parse_report_body(lines: list[str], path: Path, start_lineno: int) -> MetricReport:
     digest = None
     cfg = None
@@ -277,7 +320,7 @@ def _parse_report_body(lines: list[str], path: Path, start_lineno: int) -> Metri
         if key == "digest":
             digest = rest
         elif key == "config":
-            kv = dict(item.split("=", 1) for item in rest.split(" "))
+            kv = _parse_kv(rest, where)
             try:
                 cfg = EstimatorConfig(
                     k=int(kv["k"]),
@@ -285,7 +328,7 @@ def _parse_report_body(lines: list[str], path: Path, start_lineno: int) -> Metri
                     seed=int(kv["seed"]),
                     unit=kv["unit"],
                 )
-            except (KeyError, ValueError) as exc:
+            except (KeyError, ValueError, DmigError) as exc:
                 raise FileFormatError(f"{where}: bad config line: {exc}") from exc
         elif key == "mean_mig":
             mean_mig = parse_float(rest, where)
@@ -293,9 +336,8 @@ def _parse_report_body(lines: list[str], path: Path, start_lineno: int) -> Metri
             mean_dmig = parse_float(rest, where)
         elif key == "attribute":
             name, _, kvs = rest.partition(" ")
-            kv = dict(item.split("=", 1) for item in kvs.split(" "))
+            kv = _parse_kv(kvs, where)
             try:
-                flags_tok = kv["flags"]
                 per.append(
                     AttributeMetrics(
                         name=name,
@@ -304,9 +346,9 @@ def _parse_report_body(lines: list[str], path: Path, start_lineno: int) -> Metri
                         scc=None if kv["scc"] == "none" else parse_float(kv["scc"], where),
                         top_dim=_parse_dim(kv["top_dim"], where),
                         runner_up_dim=_parse_dim(kv["runner_up_dim"], where),
-                        branch=kv["branch"],
+                        branch=_parse_branch(kv["branch"], where),
                         denominator=parse_float(kv["denominator"], where),
-                        flags=frozenset() if flags_tok == "-" else frozenset(flags_tok.split(",")),
+                        flags=_parse_flags(kv["flags"], where),
                     )
                 )
             except KeyError as exc:

@@ -42,7 +42,6 @@ __all__ = [
     "MIEstimate",
     "entropy_discrete",
     "entropy_continuous",
-    "mi_continuous",
     "mi_continuous_detailed",
     "mi_discrete",
     "conditional_entropy",
@@ -259,11 +258,6 @@ def mi_continuous_detailed(
     return MIEstimate(value=value, deterministic_relation=bool(np.any(degenerate)))
 
 
-def mi_continuous(x: SampleColumn, y: SampleColumn, cfg: EstimatorConfig) -> float:
-    """Raw KSG mutual information estimate (see mi_continuous_detailed)."""
-    return mi_continuous_detailed(x, y, cfg).value
-
-
 def mi_discrete(x: SampleColumn, y: SampleColumn) -> float:
     """Plug-in mutual information of two discrete columns, in nats.
 
@@ -296,7 +290,7 @@ def conditional_entropy(
         h_a = entropy_discrete(a)
     else:
         h_a = entropy_continuous(a, cfg)
-    return h_a - mi_continuous(a, b, cfg)
+    return h_a - mi_continuous_detailed(a, b, cfg).value
 
 
 def spearman(x: SampleColumn, y: SampleColumn) -> float:

@@ -25,7 +25,7 @@ import hashlib
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import Literal
+from typing import Callable, Literal
 
 import numpy as np
 
@@ -40,7 +40,7 @@ from .estimation import (
     DISCRETE,
     EstimatorConfig,
     SampleColumn,
-    conditional_entropy,
+    _joint_entropy_discrete,
     entropy_continuous,
     entropy_discrete,
     mi_continuous_detailed,
@@ -51,11 +51,9 @@ from .estimation import (
 __all__ = [
     "Dataset",
     "MIProfile",
-    "MigResult",
     "AttributeMetrics",
     "MetricReport",
     "mi_profile",
-    "compute_mig",
     "compute_dmig",
     "evaluate",
     "FLAG_REGULARIZATION_FAILURE",
@@ -200,7 +198,6 @@ class MIProfile:
     mi_raw: np.ndarray
     h_marginal: np.ndarray
     h_cond: np.ndarray
-    kinds: tuple[str, ...]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MIProfile):
@@ -210,18 +207,7 @@ class MIProfile:
             and np.array_equal(self.mi_raw, other.mi_raw)
             and np.array_equal(self.h_marginal, other.h_marginal)
             and np.array_equal(self.h_cond, other.h_cond)
-            and self.kinds == other.kinds
         )
-
-
-@dataclass(frozen=True)
-class MigResult:
-    """Outcome of the MIG computation for one attribute."""
-
-    mig: float
-    top_dim: int
-    runner_up_dim: int | None
-    flags: frozenset[str]
 
 
 @dataclass(frozen=True)
@@ -260,84 +246,117 @@ def _marginal_entropy(a: SampleColumn, cfg: EstimatorConfig) -> float:
     return entropy_discrete(a) if a.kind == DISCRETE else entropy_continuous(a, cfg)
 
 
+def _pair_dependence(a: SampleColumn, b: SampleColumn, cfg: EstimatorConfig) -> float:
+    """H(a, b) for a discrete pair, otherwise the KSG estimate of I(a; b)."""
+    if a.kind == DISCRETE and b.kind == DISCRETE:
+        return _joint_entropy_discrete(a, b)
+    return mi_continuous_detailed(a, b, cfg).value
+
+
+def _run_cell(cell: tuple[str, Callable[..., float], tuple]) -> float:
+    """Evaluate one profile cell, naming its attribute(s) on failure."""
+    context, fn, args = cell
+    try:
+        return fn(*args)
+    except DmigError as exc:
+        raise MetricComputationError(f"{context}: {exc}") from exc
+
+
 def mi_profile(ds: Dataset, cfg: EstimatorConfig, workers: int = 1) -> MIProfile:
     """Estimate every I(a_i, z_d), H(a_i) and H(a_i | a_j) for a dataset.
 
     Discrete-discrete pairs take the plug-in path; anything touching a
-    continuous column takes the KSG/KL path. With workers > 1 the cell
-    grid is evaluated in a thread pool; every cell is a pure function of
-    its inputs, so concurrent results equal serial ones exactly.
+    continuous column takes the KSG/KL path. Each attribute entropy and
+    each unordered attribute pair is estimated once: a discrete pair
+    gives H(a_i | a_j) = H(a_i, a_j) - H(a_j), any other pair gives
+    H(a_i | a_j) = H(a_i) - I(a_i; a_j) from one KSG estimate, which is
+    symmetric bit for bit. These are the identities conditional_entropy
+    uses, so the results equal it exactly. With workers > 1 the cells
+    are evaluated in a thread pool; every cell is a pure function of its
+    inputs, so concurrent results equal serial ones exactly.
     """
     if ds.n <= cfg.k:
         raise MetricComputationError(
             f"dataset has N={ds.n} samples but estimators need N >= k+1 with k={cfg.k}"
         )
     m, d = ds.m, ds.d
+    attrs, names = ds.attributes, ds.names
     lat_cols = [ds.latent_column(j) for j in range(d)]
+    pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
 
-    def mi_cell(i: int, j: int) -> float:
-        try:
-            return _pair_mi(ds.attributes[i], lat_cols[j], cfg)
-        except DmigError as exc:
-            raise MetricComputationError(
-                f"MI estimation failed for attribute '{ds.names[i]}' "
-                f"(index {i}) vs latent z{j + 1}: {exc}"
-            ) from exc
-
-    def h_cell(i: int) -> float:
-        try:
-            return _marginal_entropy(ds.attributes[i], cfg)
-        except DmigError as exc:
-            raise MetricComputationError(
-                f"entropy estimation failed for attribute '{ds.names[i]}' "
-                f"(index {i}): {exc}"
-            ) from exc
-
-    def cond_cell(i: int, j: int) -> float:
-        try:
-            return conditional_entropy(ds.attributes[i], ds.attributes[j], cfg)
-        except DmigError as exc:
-            raise MetricComputationError(
-                f"conditional entropy failed for attribute pair "
-                f"('{ds.names[i]}', '{ds.names[j]}'): {exc}"
-            ) from exc
-
-    mi_raw = np.zeros((m, d))
-    h_marginal = np.zeros(m)
-    h_cond = np.zeros((m, m))
-
-    mi_tasks = [(i, j) for i in range(m) for j in range(d)]
-    cond_tasks = [(i, j) for i in range(m) for j in range(m) if i != j]
-
+    cells = [
+        (
+            f"MI estimation failed for attribute '{names[i]}' "
+            f"(index {i}) vs latent z{j + 1}",
+            _pair_mi,
+            (attrs[i], lat_cols[j], cfg),
+        )
+        for i in range(m)
+        for j in range(d)
+    ]
+    cells += [
+        (
+            f"entropy estimation failed for attribute '{names[i]}' (index {i})",
+            _marginal_entropy,
+            (attrs[i], cfg),
+        )
+        for i in range(m)
+    ]
+    cells += [
+        (
+            f"conditional entropy failed for attribute pair "
+            f"('{names[i]}', '{names[j]}')",
+            _pair_dependence,
+            (attrs[i], attrs[j], cfg),
+        )
+        for i, j in pairs
+    ]
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            for (i, j), v in zip(mi_tasks, pool.map(lambda t: mi_cell(*t), mi_tasks)):
-                mi_raw[i, j] = v
-            for i, v in zip(range(m), pool.map(h_cell, range(m))):
-                h_marginal[i] = v
-            for (i, j), v in zip(
-                cond_tasks, pool.map(lambda t: cond_cell(*t), cond_tasks)
-            ):
-                h_cond[i, j] = v
+            values = list(pool.map(_run_cell, cells))
     else:
-        for i, j in mi_tasks:
-            mi_raw[i, j] = mi_cell(i, j)
-        for i in range(m):
-            h_marginal[i] = h_cell(i)
-        for i, j in cond_tasks:
-            h_cond[i, j] = cond_cell(i, j)
+        values = [_run_cell(cell) for cell in cells]
+
+    mi_raw = np.array(values[: m * d]).reshape(m, d)
+    h_marginal = np.array(values[m * d : m * d + m])
+    h_cond = np.zeros((m, m))
+    for (i, j), v in zip(pairs, values[m * d + m :]):
+        if attrs[i].kind == DISCRETE and attrs[j].kind == DISCRETE:
+            h_cond[i, j] = v - h_marginal[j]
+            h_cond[j, i] = v - h_marginal[i]
+        else:
+            h_cond[i, j] = h_marginal[i] - v
+            h_cond[j, i] = h_marginal[j] - v
 
     mi = np.maximum(mi_raw, 0.0)
     for arr in (mi, mi_raw, h_marginal, h_cond):
         arr.setflags(write=False)
-    kinds = tuple(col.kind for col in ds.attributes)
-    return MIProfile(mi=mi, mi_raw=mi_raw, h_marginal=h_marginal, h_cond=h_cond, kinds=kinds)
+    return MIProfile(mi=mi, mi_raw=mi_raw, h_marginal=h_marginal, h_cond=h_cond)
 
 
-def _gap(
-    i: int, p: MIProfile, regularized_map: tuple[int, ...]
-) -> tuple[float, float, int, int | None]:
-    """Shared MIG/DMIG numerator: (numerator, h_i, top_dim, runner_up_dim)."""
+def compute_dmig(
+    i: int,
+    p: MIProfile,
+    regularized_map: tuple[int, ...],
+    name: str | None = None,
+) -> AttributeMetrics:
+    """MIG and DMIG for attribute i, with branch selection and diagnostics.
+
+    The argmax for the runner-up excludes the regularized dimension and
+    breaks ties toward the lowest dimension index. When some other
+    dimension carries more information about a_i than its regularized
+    one, MIG goes negative and the regularization_failure flag is set.
+
+    If the runner-up dimension is in the image of the regularized map,
+    the denominator is H(a_i | a_j) for the attribute a_j mapped there
+    (branch "regularized"); otherwise it is H(a_i) and DMIG equals MIG
+    exactly (branch "unregularized"). A near-zero denominator yields a
+    signed infinity sentinel instead of a division; a negative
+    denominator is computed as-is and flagged. The dmig_above_one flag
+    covers both ways the metric can exceed its ideal ceiling: a value
+    above 1, or a negative denominator (where the ratio semantics break
+    down entirely).
+    """
     map_i = regularized_map[i]
     row = p.mi[i]
     h_i = float(p.h_marginal[i])
@@ -357,52 +376,8 @@ def _gap(
         runner_up_dim = int(np.argmax(masked))
         runner_mi = float(row[runner_up_dim])
     numerator = float(row[map_i]) - runner_mi
-    return numerator, h_i, top_dim, runner_up_dim
-
-
-def compute_mig(
-    i: int, p: MIProfile, regularized_map: tuple[int, ...]
-) -> MigResult:
-    """MIG for attribute i from a populated profile.
-
-    The argmax for the runner-up excludes the regularized dimension and
-    breaks ties toward the lowest dimension index. A negative result
-    comes with the regularization_failure flag: some other dimension
-    carries more information about a_i than its regularized one.
-    """
-    numerator, h_i, top_dim, runner_up_dim = _gap(i, p, regularized_map)
     flags = set()
-    if top_dim != regularized_map[i]:
-        flags.add(FLAG_REGULARIZATION_FAILURE)
-    return MigResult(
-        mig=numerator / h_i,
-        top_dim=top_dim,
-        runner_up_dim=runner_up_dim,
-        flags=frozenset(flags),
-    )
-
-
-def compute_dmig(
-    i: int,
-    p: MIProfile,
-    regularized_map: tuple[int, ...],
-    name: str | None = None,
-) -> AttributeMetrics:
-    """DMIG for attribute i, with branch selection and diagnostics.
-
-    If the runner-up dimension is in the image of the regularized map,
-    the denominator is H(a_i | a_j) for the attribute a_j mapped there
-    (branch "regularized"); otherwise it is H(a_i) and DMIG equals MIG
-    exactly (branch "unregularized"). A near-zero denominator yields a
-    signed infinity sentinel instead of a division; a negative
-    denominator is computed as-is and flagged. The dmig_above_one flag
-    covers both ways the metric can exceed its ideal ceiling: a value
-    above 1, or a negative denominator (where the ratio semantics break
-    down entirely).
-    """
-    numerator, h_i, top_dim, runner_up_dim = _gap(i, p, regularized_map)
-    flags = set()
-    if top_dim != regularized_map[i]:
+    if top_dim != map_i:
         flags.add(FLAG_REGULARIZATION_FAILURE)
 
     image = {dim: a for a, dim in enumerate(regularized_map)}

@@ -148,6 +148,27 @@ class TestPlot:
         assert main(["plot", str(ds2), "--x", "mig", "--y", "dmig"]) == 2
 
 
+class TestExitCodes:
+    @pytest.mark.parametrize(
+        "flags",
+        [["--k", "0"], ["--jitter", "-1"], ["--seed", "-1"], ["--workers", "0"]],
+    )
+    def test_invalid_flag_value_is_usage_error(self, tmp_path, capsys, flags):
+        p = ideal_binary(tmp_path)
+        assert main(["eval", str(p), *flags]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not (tmp_path / "d.report").exists()
+
+    def test_plot_of_malformed_series_is_operational_error(self, tmp_path, capsys):
+        series = TestPlot().make_series(tmp_path)
+        series.write_text(series.read_text().replace("config k=3 ", "config k ", 1))
+        capsys.readouterr()
+        assert main(["plot", str(series), "--x", "mig", "--y", "dmig"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {series}:") and err.count("\n") == 1
+
+
 class TestDeterminism:
     def run_twice(self, tmp_path, build):
         a = build(tmp_path / "a")

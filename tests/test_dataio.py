@@ -1,6 +1,7 @@
 """File format tests: round-trips, token parsing, malformed-input errors."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -240,6 +241,27 @@ class TestReportRoundTrip:
         p = tmp_path / "d.csv"
         write_dataset(ds, p)
         with pytest.raises(FileFormatError):
+            read_report(p)
+
+
+class TestReportErrors:
+    @pytest.mark.parametrize(
+        "pattern, replacement",
+        [
+            (r"config k=3 ", "config k "),
+            (r" mig=", " mig "),
+            (r"branch=\S+", "branch=sideways"),
+            (r"flags=\S+", "flags=mystery"),
+            (r"config k=3 ", "config k=0 "),
+        ],
+    )
+    def test_malformed_line_raises_with_line_number(self, tmp_path, pattern, replacement):
+        p = tmp_path / "r.report"
+        write_report(small_report(np.random.default_rng(11)), p)
+        text, n = re.subn(pattern, replacement, p.read_text(), count=1)
+        assert n == 1
+        p.write_text(text)
+        with pytest.raises(FileFormatError, match=r"r\.report:\d+: "):
             read_report(p)
 
 

@@ -23,7 +23,6 @@ from dmig import (
     conditional_entropy,
     entropy_continuous,
     entropy_discrete,
-    mi_continuous,
     mi_continuous_detailed,
     mi_discrete,
     spearman,
@@ -150,13 +149,12 @@ class TestMiContinuous:
         rng = np.random.default_rng(21)
         x = cont(rng.standard_normal(20000))
         y = cont(rng.standard_normal(20000))
-        assert mi_continuous(x, y, CFG) == pytest.approx(0.0, abs=0.02)
+        assert mi_continuous_detailed(x, y, CFG).value == pytest.approx(0.0, abs=0.02)
 
     def test_bivariate_normal_rho_08(self):
         a1, a2 = gauss_pair(0.8, 20000, 22)
-        assert mi_continuous(cont(a1), cont(a2), CFG) == pytest.approx(
-            I_GAUSS_08, abs=0.03
-        )
+        est = mi_continuous_detailed(cont(a1), cont(a2), CFG)
+        assert est.value == pytest.approx(I_GAUSS_08, abs=0.03)
 
     def test_identical_columns_large_finite(self):
         rng = np.random.default_rng(23)
@@ -175,11 +173,13 @@ class TestMiContinuous:
 
     def test_alignment_error(self):
         with pytest.raises(AlignmentError):
-            mi_continuous(cont([1.0, 2.0, 3.0, 4.0]), cont([1.0, 2.0, 3.0, 4.0, 5.0]), CFG)
+            mi_continuous_detailed(
+                cont([1.0, 2.0, 3.0, 4.0]), cont([1.0, 2.0, 3.0, 4.0, 5.0]), CFG
+            )
 
     def test_insufficient_samples(self):
         with pytest.raises(InsufficientSamplesError):
-            mi_continuous(cont([1.0, 2.0]), cont([3.0, 4.0]), CFG)
+            mi_continuous_detailed(cont([1.0, 2.0]), cont([3.0, 4.0]), CFG)
 
     def test_raw_estimate_not_far_below_zero_independent(self):
         # statistical nonnegativity: small negative excursions only
@@ -188,7 +188,7 @@ class TestMiContinuous:
             rng = np.random.default_rng(seed)
             x = cont(rng.standard_normal(1000))
             y = cont(rng.standard_normal(1000))
-            vals.append(mi_continuous(x, y, CFG))
+            vals.append(mi_continuous_detailed(x, y, CFG).value)
         assert all(v >= -0.05 for v in vals)
         assert abs(sum(vals) / len(vals)) <= 0.02
 
@@ -282,7 +282,10 @@ class TestInvariants:
         rng = np.random.default_rng(seed)
         x = cont(rng.standard_normal(300))
         y = cont(rng.standard_normal(300) + 0.5 * x.values)
-        assert mi_continuous(x, y, CFG) == mi_continuous(y, x, CFG)
+        assert (
+            mi_continuous_detailed(x, y, CFG).value
+            == mi_continuous_detailed(y, x, CFG).value
+        )
 
     def test_mi_symmetry_discrete(self):
         x = disc([0, 1, 1, 2] * 50)
@@ -318,7 +321,7 @@ class TestInvariants:
         x = cont(rng.standard_normal(400))
         y = cont(rng.standard_normal(400))
         cfg = EstimatorConfig(k=4, jitter=1e-9, seed=77)
-        assert mi_continuous(x, y, cfg) == mi_continuous(x, y, cfg)
+        assert mi_continuous_detailed(x, y, cfg) == mi_continuous_detailed(x, y, cfg)
         assert entropy_continuous(x, cfg) == entropy_continuous(x, cfg)
 
     def test_seed_changes_jittered_estimate(self):
@@ -326,8 +329,8 @@ class TestInvariants:
         x = SampleColumn(np.repeat([0.0, 1.0, 2.0], 60), kind="continuous")
         rng = np.random.default_rng(52)
         y = cont(rng.standard_normal(180))
-        a = mi_continuous(x, y, EstimatorConfig(seed=0))
-        b = mi_continuous(x, y, EstimatorConfig(seed=1))
+        a = mi_continuous_detailed(x, y, EstimatorConfig(seed=0)).value
+        b = mi_continuous_detailed(x, y, EstimatorConfig(seed=1)).value
         assert a != b
 
     @settings(max_examples=15, deadline=None)
@@ -338,8 +341,9 @@ class TestInvariants:
         y = rng.standard_normal(200) + x
         perm = rng.permutation(200)
         cfg = EstimatorConfig(jitter=0.0)
-        assert mi_continuous(cont(x), cont(y), cfg) == mi_continuous(
-            cont(x[perm]), cont(y[perm]), cfg
+        assert (
+            mi_continuous_detailed(cont(x), cont(y), cfg).value
+            == mi_continuous_detailed(cont(x[perm]), cont(y[perm]), cfg).value
         )
         xd = np.floor(3.0 * rng.random(200))
         yd = np.floor(3.0 * rng.random(200))

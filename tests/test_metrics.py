@@ -17,7 +17,6 @@ from dmig import (
     SampleColumn,
     ZeroEntropyAttributeError,
     compute_dmig,
-    compute_mig,
     evaluate,
     mi_profile,
 )
@@ -161,11 +160,13 @@ class TestMiProfile:
 
 
 class TestComputeMig:
+    """The MIG field and runner-up selection of compute_dmig."""
+
     def test_ideal_independent_binary_is_one(self):
         p = mi_profile(binary_pair_dataset(), CFG)
-        res = compute_mig(0, p, (0, 1))
+        res = compute_dmig(0, p, (0, 1))
         assert res.mig == 1.0
-        assert res.flags == frozenset()
+        assert FLAG_REGULARIZATION_FAILURE not in res.flags
         assert res.top_dim == 0
         assert res.runner_up_dim == 1
 
@@ -178,7 +179,7 @@ class TestComputeMig:
             latents=np.column_stack([noise, a1]),
             attributes=(disc(a1),),
         )
-        res = compute_mig(0, mi_profile(ds, CFG), ds.regularized_map)
+        res = compute_dmig(0, mi_profile(ds, CFG), ds.regularized_map)
         assert res.mig < 0.0
         assert FLAG_REGULARIZATION_FAILURE in res.flags
         assert res.top_dim == 1
@@ -190,7 +191,7 @@ class TestComputeMig:
             attributes=(disc(a), disc(a)),
             names=("u", "v"),
         )
-        res = compute_mig(0, mi_profile(ds, CFG), ds.regularized_map)
+        res = compute_dmig(0, mi_profile(ds, CFG), ds.regularized_map)
         assert res.mig == 0.0
 
     def test_zero_entropy_attribute_rejected(self):
@@ -198,7 +199,7 @@ class TestComputeMig:
         ds = Dataset(latents=np.zeros((20, 1)), attributes=(a,))
         p = mi_profile(ds, CFG)
         with pytest.raises(ZeroEntropyAttributeError) as exc_info:
-            compute_mig(0, p, ds.regularized_map)
+            compute_dmig(0, p, ds.regularized_map)
         assert exc_info.value.attribute_index == 0
 
     def test_tie_break_lowest_dimension(self):
@@ -208,13 +209,13 @@ class TestComputeMig:
             latents=np.column_stack([a, a, a]),
             attributes=(disc(a),),
         )
-        res = compute_mig(0, mi_profile(ds, CFG), ds.regularized_map)
+        res = compute_dmig(0, mi_profile(ds, CFG), ds.regularized_map)
         assert res.runner_up_dim == 1
 
     def test_single_dimension_dataset(self):
         a = np.array([0.0, 1.0] * 500)
         ds = Dataset(latents=a[:, None], attributes=(disc(a),))
-        res = compute_mig(0, mi_profile(ds, CFG), ds.regularized_map)
+        res = compute_dmig(0, mi_profile(ds, CFG), ds.regularized_map)
         assert res.mig == 1.0
         assert res.runner_up_dim is None
 
@@ -415,7 +416,7 @@ class TestMetricInvariants:
             ds = Dataset(latents=z, attributes=(disc(a1), disc(a2)))
             p = mi_profile(ds, CFG)
             for i in range(2):
-                res = compute_mig(i, p, ds.regularized_map)
+                res = compute_dmig(i, p, ds.regularized_map)
                 assert res.mig <= 1.0 + 1e-12
 
     def test_monotone_latent_map_preserves_selection(self):
@@ -427,8 +428,8 @@ class TestMetricInvariants:
         ds = Dataset(latents=np.column_stack([a1, z2, z3]), attributes=(disc(a1),))
         mapped = np.column_stack([2 * a1 + 1, 2 * z2 + 1, 2 * z3 + 1])
         ds2 = Dataset(latents=mapped, attributes=(disc(a1),))
-        r1 = compute_mig(0, mi_profile(ds, CFG), ds.regularized_map)
-        r2 = compute_mig(0, mi_profile(ds2, CFG), ds2.regularized_map)
+        r1 = compute_dmig(0, mi_profile(ds, CFG), ds.regularized_map)
+        r2 = compute_dmig(0, mi_profile(ds2, CFG), ds2.regularized_map)
         assert (r1.top_dim, r1.runner_up_dim, r1.mig) == (
             r2.top_dim,
             r2.runner_up_dim,
