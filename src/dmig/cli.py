@@ -225,7 +225,6 @@ def cmd_plot(args: argparse.Namespace) -> int:
     spec = PlotSpec(
         x_metric=args.x,
         y_metric=args.y,
-        out_path=str(out),
         x_range=args.x_range,
         y_range=args.y_range,
     )

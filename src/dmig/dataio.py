@@ -266,7 +266,7 @@ def _report_body(report: MetricReport) -> list[str]:
     cfg = report.config_echo
     lines = [
         f"digest {report.dataset_digest}",
-        f"config k={cfg.k} jitter={format_float(cfg.jitter)} seed={cfg.seed} unit={cfg.unit}",
+        f"config k={cfg.k} jitter={format_float(cfg.jitter)} seed={cfg.seed} unit=nats",
         f"mean_mig {format_float(report.mean_mig)}",
         f"mean_dmig {format_float(report.mean_dmig)}",
     ]
@@ -290,6 +290,8 @@ def _parse_kv(text: str, where: str) -> dict[str, str]:
         key, sep, value = item.partition("=")
         if not sep:
             raise FileFormatError(f"{where}: expected key=value, got {item!r}")
+        if key in kv:
+            raise FileFormatError(f"{where}: repeated key {key!r}")
         kv[key] = value
     return kv
 
@@ -314,9 +316,14 @@ def _parse_report_body(lines: list[str], path: Path, start_lineno: int) -> Metri
     mean_mig = None
     mean_dmig = None
     per: list[AttributeMetrics] = []
+    seen: set[str] = set()
     for off, line in enumerate(lines):
         where = f"{path}:{start_lineno + off}"
         key, _, rest = line.partition(" ")
+        ident = f"attribute {rest.partition(' ')[0]}" if key == "attribute" else key
+        if ident in seen:
+            raise FileFormatError(f"{where}: repeated {ident!r} line")
+        seen.add(ident)
         if key == "digest":
             digest = rest
         elif key == "config":
@@ -326,10 +333,12 @@ def _parse_report_body(lines: list[str], path: Path, start_lineno: int) -> Metri
                     k=int(kv["k"]),
                     jitter=parse_float(kv["jitter"], where),
                     seed=int(kv["seed"]),
-                    unit=kv["unit"],
                 )
+                unit = kv["unit"]
             except (KeyError, ValueError, DmigError) as exc:
                 raise FileFormatError(f"{where}: bad config line: {exc}") from exc
+            if unit != "nats":
+                raise FileFormatError(f"{where}: unsupported unit {unit!r}")
         elif key == "mean_mig":
             mean_mig = parse_float(rest, where)
         elif key == "mean_dmig":
@@ -450,26 +459,26 @@ def read_truth(path: str | Path) -> tuple[str, GroundTruth]:
     path = Path(path)
     lines = _read_lines(path)
     idx = _check_header(lines, path, "truth")
-    kv: dict[str, str] = {}
-    for off, line in enumerate(lines[idx:]):
+    kv: dict[str, tuple[str, str]] = {}
+    for lineno, line in enumerate(lines[idx:], start=idx + 1):
+        where = f"{path}:{lineno}"
         key, _, rest = line.partition(" ")
         if not rest:
-            raise FileFormatError(f"{path}:{idx + off + 1}: malformed line {line!r}")
-        kv[key] = rest
+            raise FileFormatError(f"{where}: malformed line {line!r}")
+        if key in kv:
+            raise FileFormatError(f"{where}: repeated key {key!r}")
+        kv[key] = (rest, where)
+
+    def num(key: str) -> float:
+        return parse_float(*kv[key])
+
     try:
-        family = kv["family"]
-        where = str(path)
+        family = kv["family"][0]
         truth = GroundTruth(
-            h_a=(parse_float(kv["h_a1"], where), parse_float(kv["h_a2"], where)),
-            i_a1a2=parse_float(kv["i_a1a2"], where),
-            h_cond=(
-                (0.0, parse_float(kv["h_cond12"], where)),
-                (parse_float(kv["h_cond21"], where), 0.0),
-            ),
-            ideal_dmig=(
-                parse_float(kv["ideal_dmig1"], where),
-                parse_float(kv["ideal_dmig2"], where),
-            ),
+            h_a=(num("h_a1"), num("h_a2")),
+            i_a1a2=num("i_a1a2"),
+            h_cond=((0.0, num("h_cond12")), (num("h_cond21"), 0.0)),
+            ideal_dmig=(num("ideal_dmig1"), num("ideal_dmig2")),
         )
     except KeyError as exc:
         raise FileFormatError(f"{path}: truth sidecar missing {exc}") from exc

@@ -105,14 +105,13 @@ class EstimatorConfig:
     """Knobs shared by all kNN estimators.
 
     k: neighbor count; jitter: tie-breaking noise amplitude as a fraction
-    of the column standard deviation; seed: keys the jitter noise; unit is
-    fixed to nats (closed-form oracles are natural-log).
+    of the column standard deviation; seed: keys the jitter noise. Every
+    estimate is in nats (closed-form oracles are natural-log).
     """
 
     k: int = 3
     jitter: float = 1e-10
     seed: int = 0
-    unit: Literal["nats"] = "nats"
 
     def __post_init__(self) -> None:
         if self.k < 1:
@@ -121,8 +120,6 @@ class EstimatorConfig:
             raise DegenerateSampleError(f"jitter must be >= 0, got {self.jitter}")
         if not (0 <= self.seed < 2**64):
             raise DegenerateSampleError("seed must fit in 64 unsigned bits")
-        if self.unit != "nats":
-            raise KindMismatchError(f"unsupported unit: {self.unit!r}")
 
 
 @dataclass(frozen=True)
@@ -176,19 +173,22 @@ def _jittered(col: SampleColumn, cfg: EstimatorConfig) -> np.ndarray:
     return vals + (cfg.jitter * sd) * rng.random(vals.size)
 
 
+def _plugin_entropy(counts: np.ndarray, n: int) -> float:
+    return -math.fsum((c / n) * math.log(c / n) for c in counts)
+
+
 def entropy_discrete(a: SampleColumn) -> float:
     """Plug-in Shannon entropy of a discrete column, in nats."""
     _require_kind(a, DISCRETE, "entropy_discrete")
     _, counts = np.unique(a.values, return_counts=True)
-    n = a.n
-    return -math.fsum((c / n) * math.log(c / n) for c in counts)
+    return _plugin_entropy(counts, a.n)
 
 
 def _joint_entropy_discrete(x: SampleColumn, y: SampleColumn) -> float:
     n = _require_aligned(x, y)
     pairs = np.column_stack([x.values, y.values])
     _, counts = np.unique(pairs, axis=0, return_counts=True)
-    return -math.fsum((c / n) * math.log(c / n) for c in counts)
+    return _plugin_entropy(counts, n)
 
 
 def entropy_continuous(a: SampleColumn, cfg: EstimatorConfig) -> float:

@@ -44,7 +44,6 @@ from .estimation import (
     entropy_continuous,
     entropy_discrete,
     mi_continuous_detailed,
-    mi_discrete,
     spearman,
 )
 
@@ -236,25 +235,31 @@ class MetricReport:
     dataset_digest: str
 
 
-def _pair_mi(a: SampleColumn, z: SampleColumn, cfg: EstimatorConfig) -> float:
-    if a.kind == DISCRETE and z.kind == DISCRETE:
-        return mi_discrete(a, z)
-    return mi_continuous_detailed(a, z, cfg).value
+def _entropy_cell(col: SampleColumn, cfg: EstimatorConfig) -> float:
+    return entropy_discrete(col) if col.kind == DISCRETE else entropy_continuous(col, cfg)
 
 
-def _marginal_entropy(a: SampleColumn, cfg: EstimatorConfig) -> float:
-    return entropy_discrete(a) if a.kind == DISCRETE else entropy_continuous(a, cfg)
+def _pair_cell(x: SampleColumn, y: SampleColumn, cfg: EstimatorConfig) -> tuple[bool, float]:
+    """(True, H(x, y)) for a discrete pair, otherwise (False, KSG I(x; y))."""
+    if x.kind == DISCRETE and y.kind == DISCRETE:
+        return True, _joint_entropy_discrete(x, y)
+    return False, mi_continuous_detailed(x, y, cfg).value
 
 
-def _pair_dependence(a: SampleColumn, b: SampleColumn, cfg: EstimatorConfig) -> float:
-    """H(a, b) for a discrete pair, otherwise the KSG estimate of I(a; b)."""
-    if a.kind == DISCRETE and b.kind == DISCRETE:
-        return _joint_entropy_discrete(a, b)
-    return mi_continuous_detailed(a, b, cfg).value
+def _pair_info(cell: tuple[bool, float], h_x: float, h_y: float | None) -> tuple[float, float]:
+    """I(x; y) and H(x | y) from a pair cell and the entropies of x and y.
+
+    The discrete branch repeats the operations of mi_discrete and
+    conditional_entropy in their order, so it equals them bit for bit.
+    """
+    joint, v = cell
+    if joint:
+        return max(0.0, h_x + h_y - v), v - h_y
+    return v, h_x - v
 
 
-def _run_cell(cell: tuple[str, Callable[..., float], tuple]) -> float:
-    """Evaluate one profile cell, naming its attribute(s) on failure."""
+def _run_cell(cell: tuple[str, Callable[..., object], tuple]) -> object:
+    """Evaluate one profile cell, naming its attribute and latent on failure."""
     context, fn, args = cell
     try:
         return fn(*args)
@@ -265,51 +270,36 @@ def _run_cell(cell: tuple[str, Callable[..., float], tuple]) -> float:
 def mi_profile(ds: Dataset, cfg: EstimatorConfig, workers: int = 1) -> MIProfile:
     """Estimate every I(a_i, z_d), H(a_i) and H(a_i | a_j) for a dataset.
 
-    Discrete-discrete pairs take the plug-in path; anything touching a
-    continuous column takes the KSG/KL path. Each attribute entropy and
-    each unordered attribute pair is estimated once: a discrete pair
-    gives H(a_i | a_j) = H(a_i, a_j) - H(a_j), any other pair gives
-    H(a_i | a_j) = H(a_i) - I(a_i; a_j) from one KSG estimate, which is
-    symmetric bit for bit. These are the identities conditional_entropy
-    uses, so the results equal it exactly. With workers > 1 the cells
-    are evaluated in a thread pool; every cell is a pure function of its
-    inputs, so concurrent results equal serial ones exactly.
+    Each cell is estimated once: the entropy of every attribute and every
+    discrete latent, and one _pair_cell per (attribute, latent) pair and
+    per unordered attribute pair. KSG is symmetric bit for bit, so mi_raw
+    equals mi_discrete on discrete cells and h_cond equals
+    conditional_entropy exactly. With workers > 1 the cells run in a
+    thread pool; each is a pure function of its inputs, so concurrent
+    results equal serial ones exactly.
     """
     if ds.n <= cfg.k:
         raise MetricComputationError(
             f"dataset has N={ds.n} samples but estimators need N >= k+1 with k={cfg.k}"
         )
     m, d = ds.m, ds.d
-    attrs, names = ds.attributes, ds.names
-    lat_cols = [ds.latent_column(j) for j in range(d)]
-    pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
-
+    cols = list(ds.attributes) + [ds.latent_column(j) for j in range(d)]
+    labels = [f"attribute '{name}' (index {i})" for i, name in enumerate(ds.names)]
+    labels += [f"latent z{j + 1}" for j in range(d)]
+    entropies = [c for c, col in enumerate(cols) if c < m or col.kind == DISCRETE]
+    pairs = [(i, m + j) for i in range(m) for j in range(d)]
+    pairs += [(i, j) for i in range(m) for j in range(i + 1, m)]
     cells = [
-        (
-            f"MI estimation failed for attribute '{names[i]}' "
-            f"(index {i}) vs latent z{j + 1}",
-            _pair_mi,
-            (attrs[i], lat_cols[j], cfg),
-        )
-        for i in range(m)
-        for j in range(d)
+        (f"entropy estimation failed for {labels[c]}", _entropy_cell, (cols[c], cfg))
+        for c in entropies
     ]
     cells += [
         (
-            f"entropy estimation failed for attribute '{names[i]}' (index {i})",
-            _marginal_entropy,
-            (attrs[i], cfg),
+            f"MI estimation failed for {labels[x]} vs {labels[y]}",
+            _pair_cell,
+            (cols[x], cols[y], cfg),
         )
-        for i in range(m)
-    ]
-    cells += [
-        (
-            f"conditional entropy failed for attribute pair "
-            f"('{names[i]}', '{names[j]}')",
-            _pair_dependence,
-            (attrs[i], attrs[j], cfg),
-        )
-        for i, j in pairs
+        for x, y in pairs
     ]
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -317,17 +307,17 @@ def mi_profile(ds: Dataset, cfg: EstimatorConfig, workers: int = 1) -> MIProfile
     else:
         values = [_run_cell(cell) for cell in cells]
 
-    mi_raw = np.array(values[: m * d]).reshape(m, d)
-    h_marginal = np.array(values[m * d : m * d + m])
+    h = dict(zip(entropies, values))
+    mi_raw = np.zeros((m, d))
     h_cond = np.zeros((m, m))
-    for (i, j), v in zip(pairs, values[m * d + m :]):
-        if attrs[i].kind == DISCRETE and attrs[j].kind == DISCRETE:
-            h_cond[i, j] = v - h_marginal[j]
-            h_cond[j, i] = v - h_marginal[i]
+    for (x, y), cell in zip(pairs, values[len(entropies):]):
+        if y >= m:
+            mi_raw[x, y - m] = _pair_info(cell, h[x], h.get(y))[0]
         else:
-            h_cond[i, j] = h_marginal[i] - v
-            h_cond[j, i] = h_marginal[j] - v
+            h_cond[x, y] = _pair_info(cell, h[x], h[y])[1]
+            h_cond[y, x] = _pair_info(cell, h[y], h[x])[1]
 
+    h_marginal = np.array([h[i] for i in range(m)])
     mi = np.maximum(mi_raw, 0.0)
     for arr in (mi, mi_raw, h_marginal, h_cond):
         arr.setflags(write=False)

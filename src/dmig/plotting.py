@@ -36,11 +36,10 @@ _LEFT, _RIGHT, _TOP, _BOTTOM = 70, 160, 40, 50
 
 @dataclass(frozen=True)
 class PlotSpec:
-    """What to plot: metric on each axis, output path, optional ranges."""
+    """What to plot: metric on each axis, optional ranges."""
 
     x_metric: str
     y_metric: str
-    out_path: str | None = None
     x_range: tuple[float, float] | None = None
     y_range: tuple[float, float] | None = None
 

@@ -253,6 +253,14 @@ class TestReportErrors:
             (r"branch=\S+", "branch=sideways"),
             (r"flags=\S+", "flags=mystery"),
             (r"config k=3 ", "config k=0 "),
+            (r"unit=nats", "unit=bits"),
+            (r"config k=3 ", "config k=3 k=3 "),
+            (r" mig=", " mig=9.0 mig="),
+            (r"(attribute [^\n]*\n)", r"\1\1"),
+            (r"(digest [^\n]*\n)", r"\1\1"),
+            (r"(config [^\n]*\n)", r"\1\1"),
+            (r"(mean_mig [^\n]*\n)", r"\1\1"),
+            (r"(mean_dmig [^\n]*\n)", r"\1\1"),
         ],
     )
     def test_malformed_line_raises_with_line_number(self, tmp_path, pattern, replacement):
@@ -295,6 +303,24 @@ class TestTruthRoundTrip:
         family, back = read_truth(p)
         assert family == "gaussian_pair" and back == truth
         assert math.isnan(back.ideal_dmig[0])
+
+
+class TestTruthErrors:
+    @pytest.mark.parametrize(
+        "pattern, replacement",
+        [
+            (r"h_a1 \S+", "h_a1 abc"),
+            (r"(i_a1a2 [^\n]*\n)", r"\1\1"),
+        ],
+    )
+    def test_malformed_line_raises_with_line_number(self, tmp_path, pattern, replacement):
+        p = tmp_path / "t.truth"
+        write_truth("gaussian_pair", gaussian_truth(0.8), p)
+        text, n = re.subn(pattern, replacement, p.read_text(), count=1)
+        assert n == 1
+        p.write_text(text)
+        with pytest.raises(FileFormatError, match=r"t\.truth:\d+: "):
+            read_truth(p)
 
 
 class TestRandomizedRoundTrips:

@@ -76,15 +76,13 @@ class TestSampleColumn:
 
 class TestEstimatorConfig:
     def test_defaults(self):
-        assert CFG.k == 3 and CFG.jitter == 1e-10 and CFG.unit == "nats"
+        assert CFG.k == 3 and CFG.jitter == 1e-10 and CFG.seed == 0
 
     def test_rejects_bad_values(self):
         with pytest.raises(InsufficientSamplesError):
             EstimatorConfig(k=0)
         with pytest.raises(DegenerateSampleError):
             EstimatorConfig(jitter=-1.0)
-        with pytest.raises(KindMismatchError):
-            EstimatorConfig(unit="bits")
 
 
 class TestEntropyDiscrete:

@@ -24,6 +24,7 @@ from dmig import (
     evaluate,
     gen_discrete_joint,
     gen_gaussian_pair,
+    mi_discrete,
     mi_profile,
     write_report,
 )
@@ -144,6 +145,17 @@ def test_h_cond_matches_conditional_entropy():
             if i != j:
                 ref = conditional_entropy(ds.attributes[i], ds.attributes[j], CFG)
                 assert h_cond[i][j] == ref, (i, j)
+    checked = 0
+    for build in (discrete, sentinel):
+        ds = build()
+        mi_raw = mi_profile(ds, CFG).mi_raw
+        for i, a in enumerate(ds.attributes):
+            for j in range(ds.d):
+                z = ds.latent_column(j)
+                if a.kind == z.kind == "discrete":
+                    assert mi_raw[i][j] == mi_discrete(a, z), (build.__name__, i, j)
+                    checked += 1
+    assert checked == 8
 
 
 if __name__ == "__main__":

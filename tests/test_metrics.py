@@ -1,6 +1,7 @@
 """Metric-layer tests: profiles, MIG, DMIG, evaluation, and invariants."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from dmig import (
     evaluate,
     mi_profile,
 )
+from dmig import estimation, metrics
 from dmig.synthetic import SyntheticSpec, gen_trajectory
 
 LN2 = 0.6931471805599453
@@ -157,6 +159,51 @@ class TestMiProfile:
         )
         with pytest.raises(MetricComputationError, match="flat"):
             mi_profile(ds, CFG)
+
+    def test_each_column_and_pair_estimated_once(self, monkeypatch):
+        # attribute kinds disc/disc/cont, latent kinds disc/disc/cont/cont
+        rng = np.random.default_rng(63)
+        n = 300
+        a1 = rng.integers(0, 3, n).astype(float)
+        a2 = rng.integers(0, 2, n).astype(float)
+        a3 = rng.standard_normal(n)
+        lat = np.column_stack(
+            [a1 + 1.0, a2 + 1.0, a3 + 0.1 * rng.standard_normal(n), rng.standard_normal(n)]
+        )
+        ds = Dataset(latents=lat, attributes=(disc(a1), disc(a2), cont(a3)))
+        assert ds.latent_kinds == ("discrete", "discrete", "continuous", "continuous")
+
+        calls = {"entropy": [], "pair": [], "mi_discrete": []}
+
+        def counted(fn, kind):
+            def wrapper(*args, **kwargs):
+                cols = [a.values.tobytes() for a in args if isinstance(a, SampleColumn)]
+                calls[kind].append(cols[0] if kind == "entropy" else frozenset(cols))
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for name, kind in (
+            ("entropy_discrete", "entropy"),
+            ("entropy_continuous", "entropy"),
+            ("_joint_entropy_discrete", "pair"),
+            ("mi_continuous_detailed", "pair"),
+            ("mi_discrete", "mi_discrete"),
+        ):
+            wrapper = counted(getattr(estimation, name), kind)
+            for mod in (estimation, metrics):
+                if hasattr(mod, name):
+                    monkeypatch.setattr(mod, name, wrapper)
+        mi_profile(ds, CFG)
+
+        key = [a.values.tobytes() for a in ds.attributes]
+        lat_key = [ds.latent_column(j).values.tobytes() for j in range(ds.d)]
+        assert sorted(calls["entropy"]) == sorted(key + lat_key[:2])
+        pairs = [frozenset({k, z}) for k in key for z in lat_key]
+        pairs += [frozenset({key[i], key[j]}) for i in range(3) for j in range(i + 1, 3)]
+        assert Counter(calls["pair"]) == Counter(pairs)
+        assert len(set(pairs)) == len(pairs) == 15
+        assert calls["mi_discrete"] == []
 
 
 class TestComputeMig:
