@@ -65,6 +65,10 @@ _FLAGS = frozenset(
         FLAG_REGULARIZATION_FAILURE,
     }
 )
+_CONFIG_KEYS = frozenset({"k", "jitter", "seed", "unit"})
+_ATTRIBUTE_KEYS = frozenset(
+    {"mig", "dmig", "scc", "top_dim", "runner_up_dim", "branch", "denominator", "flags"}
+)
 
 _Z_TOKEN = re.compile(r"^z([1-9][0-9]*)$")
 _MAP_LINE = re.compile(r"^#map a(.+) -> z([1-9][0-9]*)$")
@@ -284,12 +288,14 @@ def _report_body(report: MetricReport) -> list[str]:
     return lines
 
 
-def _parse_kv(text: str, where: str) -> dict[str, str]:
+def _parse_kv(text: str, where: str, keys: frozenset[str]) -> dict[str, str]:
     kv = {}
     for item in text.split(" "):
         key, sep, value = item.partition("=")
         if not sep:
             raise FileFormatError(f"{where}: expected key=value, got {item!r}")
+        if key not in keys:
+            raise FileFormatError(f"{where}: unknown key {key!r}")
         if key in kv:
             raise FileFormatError(f"{where}: repeated key {key!r}")
         kv[key] = value
@@ -327,7 +333,7 @@ def _parse_report_body(lines: list[str], path: Path, start_lineno: int) -> Metri
         if key == "digest":
             digest = rest
         elif key == "config":
-            kv = _parse_kv(rest, where)
+            kv = _parse_kv(rest, where, _CONFIG_KEYS)
             try:
                 cfg = EstimatorConfig(
                     k=int(kv["k"]),
@@ -345,7 +351,7 @@ def _parse_report_body(lines: list[str], path: Path, start_lineno: int) -> Metri
             mean_dmig = parse_float(rest, where)
         elif key == "attribute":
             name, _, kvs = rest.partition(" ")
-            kv = _parse_kv(kvs, where)
+            kv = _parse_kv(kvs, where, _ATTRIBUTE_KEYS)
             try:
                 per.append(
                     AttributeMetrics(

@@ -26,7 +26,6 @@ from typing import Iterable, Literal
 import numpy as np
 from scipy.spatial import cKDTree
 from scipy.special import digamma
-from scipy.stats import rankdata
 
 from .errors import (
     AlignmentError,
@@ -186,8 +185,11 @@ def entropy_discrete(a: SampleColumn) -> float:
 
 def _joint_entropy_discrete(x: SampleColumn, y: SampleColumn) -> float:
     n = _require_aligned(x, y)
-    pairs = np.column_stack([x.values, y.values])
-    _, counts = np.unique(pairs, axis=0, return_counts=True)
+    _, ix = np.unique(x.values, return_inverse=True)
+    y_codes, iy = np.unique(y.values, return_inverse=True)
+    # One integer key per (x, y) cell: the same multiset of counts as a
+    # row-wise unique of the pairs, and fsum ignores their order.
+    _, counts = np.unique(ix * y_codes.size + iy, return_counts=True)
     return _plugin_entropy(counts, n)
 
 
@@ -214,6 +216,45 @@ def entropy_continuous(a: SampleColumn, cfg: EstimatorConfig) -> float:
     return digamma(n) - digamma(cfg.k) + math.fsum(np.log(2.0 * eps)) / n
 
 
+def _count_within(values: np.ndarray, eps: np.ndarray) -> np.ndarray:
+    """Strict marginal counts #{j != i : |values_j - values_i| < eps_i}.
+
+    Binary search over the sorted distinct values u for the window
+    [x - eps, x + eps], then an exact fix-up of both edges. fl(u - x) is
+    monotone in u, so the values passing |u - x| < eps form one run that
+    holds x itself when eps > 0. Searching the rounded bounds inclusively
+    can only take in extra values at the edges, never miss one inside (a
+    u beyond fl(x + eps) has u - x > eps exactly, and eps is a float), so
+    each edge steps inwards until its distinct value passes. A row with
+    eps == 0 counts nothing. Rows are searched in value order, which keeps
+    the memory reads local.
+    """
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    first = np.concatenate(([True], ordered[1:] != ordered[:-1]))
+    u = ordered[first]
+    below = np.concatenate((np.flatnonzero(first), [values.size]))
+    radius = eps[order]
+    live = radius > 0.0
+    x = ordered[live]
+    r = radius[live]
+    lo = np.searchsorted(u, x - r, side="left")
+    hi = np.searchsorted(u, x + r, side="right")
+    while True:
+        out = np.abs(u[lo] - x) >= r
+        if not out.any():
+            break
+        lo += out
+    while True:
+        out = np.abs(u[hi - 1] - x) >= r
+        if not out.any():
+            break
+        hi -= out
+    counts = np.zeros(values.size, dtype=np.int64)
+    counts[order[live]] = below[hi] - below[lo] - 1
+    return counts
+
+
 def mi_continuous_detailed(
     x: SampleColumn, y: SampleColumn, cfg: EstimatorConfig
 ) -> MIEstimate:
@@ -234,28 +275,15 @@ def mi_continuous_detailed(
     tree = cKDTree(joint)
     eps = tree.query(joint, k=[cfg.k + 1], p=np.inf)[0][:, 0]
 
-    # Strict counts |x_j - x_i| < eps_i via a closed ball of radius
-    # nextafter(eps, 0). eps == 0 (>= k+1 coincident joint points) would
-    # make that radius inclusive again, so those counts are pinned to 0
-    # and reported through the deterministic-relation diagnostic.
-    degenerate = eps == 0.0
-    radius = np.nextafter(eps, 0.0)
-
-    nx = np.zeros(n, dtype=np.int64)
-    ny = np.zeros(n, dtype=np.int64)
-    ok = ~degenerate
-    if np.any(ok):
-        tx = cKDTree(px[:, None])
-        ty = cKDTree(py[:, None])
-        qx = px[ok][:, None]
-        qy = py[ok][:, None]
-        r = radius[ok]
-        nx[ok] = tx.query_ball_point(qx, r, p=np.inf, return_length=True) - 1
-        ny[ok] = ty.query_ball_point(qy, r, p=np.inf, return_length=True) - 1
+    # eps == 0 (>= k+1 coincident joint points) counts no marginal
+    # neighbours and is reported through the deterministic-relation
+    # diagnostic.
+    nx = _count_within(px, eps)
+    ny = _count_within(py, eps)
 
     mean_psi = math.fsum(digamma(nx + 1.0) + digamma(ny + 1.0)) / n
     value = float(digamma(cfg.k) + digamma(n) - mean_psi)
-    return MIEstimate(value=value, deterministic_relation=bool(np.any(degenerate)))
+    return MIEstimate(value=value, deterministic_relation=bool(np.any(eps == 0.0)))
 
 
 def mi_discrete(x: SampleColumn, y: SampleColumn) -> float:
@@ -293,6 +321,20 @@ def conditional_entropy(
     return h_a - mi_continuous_detailed(a, b, cfg).value
 
 
+def rankdata(values: np.ndarray) -> np.ndarray:
+    """Average ranks from 1, tied values sharing the mean of their ranks.
+
+    Equals scipy.stats.rankdata(values, method="average"), float64 too.
+    """
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    first = np.concatenate(([True], ordered[1:] != ordered[:-1]))
+    dense = np.empty(values.size, dtype=np.intp)
+    dense[order] = np.cumsum(first)
+    count = np.concatenate((np.flatnonzero(first), [values.size]))
+    return 0.5 * (count[dense] + count[dense - 1] + 1)
+
+
 def spearman(x: SampleColumn, y: SampleColumn) -> float:
     """Spearman rank correlation: Pearson correlation of average ranks.
 
@@ -308,8 +350,8 @@ def spearman(x: SampleColumn, y: SampleColumn) -> float:
             raise UndefinedCorrelationError(
                 f"spearman undefined: column {label} is constant"
             )
-    rx = rankdata(x.values, method="average")
-    ry = rankdata(y.values, method="average")
+    rx = rankdata(x.values)
+    ry = rankdata(y.values)
     if np.array_equal(rx, ry):
         return 1.0
     if np.array_equal(rx, (n + 1.0) - ry):
@@ -318,7 +360,11 @@ def spearman(x: SampleColumn, y: SampleColumn) -> float:
         np.unique(x.values).size == n and np.unique(y.values).size == n
     )
     if tie_free:
-        d2 = sum((int(a) - int(b)) ** 2 for a, b in zip(rx, ry))
+        # Tie-free ranks are exact integers; each chunk's sum of squared
+        # differences stays below 2**62, so int64 cannot overflow.
+        d = (rx - ry).astype(np.int64)
+        step = max(1, 2**62 // (n * n))
+        d2 = sum(int(np.dot(d[i:i + step], d[i:i + step])) for i in range(0, n, step))
         return 1.0 - (6.0 * d2) / (n * (n * n - 1.0))
     cx = rx - rx.mean()
     cy = ry - ry.mean()

@@ -261,6 +261,8 @@ class TestReportErrors:
             (r"(config [^\n]*\n)", r"\1\1"),
             (r"(mean_mig [^\n]*\n)", r"\1\1"),
             (r"(mean_dmig [^\n]*\n)", r"\1\1"),
+            (r"(attribute [^\n]*)\n", r"\1 extra=1\n"),
+            (r"unit=nats", "unit=nats colour=red"),
         ],
     )
     def test_malformed_line_raises_with_line_number(self, tmp_path, pattern, replacement):

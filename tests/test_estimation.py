@@ -11,6 +11,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial import cKDTree
+from scipy.stats import rankdata as scipy_rankdata
 
 from dmig import (
     AlignmentError,
@@ -18,6 +20,7 @@ from dmig import (
     EstimatorConfig,
     InsufficientSamplesError,
     KindMismatchError,
+    MIEstimate,
     SampleColumn,
     UndefinedCorrelationError,
     conditional_entropy,
@@ -27,6 +30,7 @@ from dmig import (
     mi_discrete,
     spearman,
 )
+from dmig.estimation import _count_within, _jittered, rankdata
 
 LN2 = 0.6931471805599453
 H_3CAT = 1.0397207708399179          # 1.5 * ln 2
@@ -191,6 +195,75 @@ class TestMiContinuous:
         assert abs(sum(vals) / len(vals)) <= 0.02
 
 
+def kdtree_counts(values, eps):
+    """Strict marginal counts as a 1-D kd-tree gives them (reference)."""
+    pts = values[:, None]
+    found = cKDTree(pts).query_ball_point(
+        pts, np.nextafter(eps, 0.0), p=np.inf, return_length=True
+    )
+    return np.where(eps == 0.0, 0, found - 1)
+
+
+TIE_HEAVY = st.lists(st.integers(0, 3).map(float), min_size=2, max_size=80)
+ROUNDED = st.lists(
+    st.floats(-10.0, 10.0).map(lambda v: round(v, 1)), min_size=2, max_size=80
+)
+MIXED_MAGNITUDES = st.lists(
+    st.floats(-1e12, 1e12, allow_nan=False).map(lambda v: v * 10.0 ** -(abs(v) % 20)),
+    min_size=2,
+    max_size=80,
+)
+TIE_FREE = st.lists(st.floats(allow_nan=False), min_size=1, max_size=80, unique=True)
+
+
+class TestMarginalCounts:
+    """The sorted-array counts equal the kd-tree counts they replaced."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(TIE_HEAVY, ROUNDED, MIXED_MAGNITUDES), st.data())
+    def test_equal_to_kdtree_at_exact_neighbour_distances(self, values, data):
+        # eps_i is the distance to another sample (0 when it is i itself or
+        # a tie), scaled, so the window edges sit on sample values.
+        values = np.array(values)
+        n = values.size
+        partner = np.array(
+            data.draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+        )
+        scale = data.draw(st.sampled_from([1.0, 0.5, 2.0, 1.0 + 2.0**-52]))
+        eps = np.abs(values[partner] - values) * scale
+        assert np.array_equal(_count_within(values, eps), kdtree_counts(values, eps))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(min_value=0, max_value=2**31 - 1),
+        st.sampled_from([0.0, 1e-10]),
+        st.integers(min_value=1, max_value=5),
+    )
+    def test_equal_to_kdtree_at_ksg_radii(self, seed, jitter, k):
+        # The radii KSG uses: k-th joint neighbour distances of a tie-heavy
+        # code against a rounded continuous column, jitter 0 included.
+        rng = np.random.default_rng(seed)
+        a = disc(rng.integers(0, 3, 300))
+        z = cont(np.round(a.values + 0.5 * rng.standard_normal(300), 1))
+        cfg = EstimatorConfig(k=k, jitter=jitter)
+        joint = np.column_stack([_jittered(a, cfg), _jittered(z, cfg)])
+        eps = cKDTree(joint).query(joint, k=[k + 1], p=np.inf)[0][:, 0]
+        for col in joint.T:
+            assert np.array_equal(_count_within(col, eps), kdtree_counts(col, eps))
+
+    def test_mixed_tie_heavy_pair_estimate_unchanged(self):
+        # Values frozen from the kd-tree implementation.
+        rng = np.random.default_rng(61)
+        a = disc(rng.integers(0, 3, 400))
+        z = cont(np.round(a.values + 0.5 * rng.standard_normal(400), 1))
+        assert mi_continuous_detailed(a, z, EstimatorConfig(jitter=0.0)) == MIEstimate(
+            value=7.02411714001806, deterministic_relation=True
+        )
+        assert mi_continuous_detailed(a, z, CFG) == MIEstimate(
+            value=0.5984890835614074, deterministic_relation=False
+        )
+
+
 class TestMiDiscrete:
     def test_perfect_dependence_binary(self):
         x = disc([0, 1] * 500)
@@ -269,6 +342,26 @@ class TestSpearman:
             x = cont(rng.standard_normal(50))
             y = cont(rng.standard_normal(50))
             assert -1.0 <= spearman(x, y) <= 1.0
+
+
+class TestRanks:
+    @settings(max_examples=100, deadline=None)
+    @given(st.one_of(TIE_HEAVY, ROUNDED, TIE_FREE))
+    def test_rankdata_equals_scipy_average(self, values):
+        values = np.array(values)
+        ours = rankdata(values)
+        ref = scipy_rankdata(values, method="average")
+        assert ours.dtype == ref.dtype
+        assert np.array_equal(ours, ref)
+
+    @pytest.mark.parametrize("n", [2, 7, 1000, 2_000_000])
+    def test_tie_free_spearman_equals_python_int_sum(self, n):
+        # 2e6 exceeds one int64 chunk (n**3 > 2**62).
+        rng = np.random.default_rng(n)
+        x = rng.permutation(n).astype(float)
+        y = rng.permutation(n).astype(float)
+        d2 = sum((int(a) - int(b)) ** 2 for a, b in zip(x + 1, y + 1))
+        assert spearman(cont(x), cont(y)) == 1.0 - (6.0 * d2) / (n * (n * n - 1.0))
 
 
 class TestInvariants:
