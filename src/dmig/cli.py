@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .dataio import (
+    _dim_token,
     format_float,
     read_dataset,
     read_series,
@@ -47,10 +48,6 @@ def _cell(v: float | None) -> str:
     return f"{v:.4f}"
 
 
-def _dim(j: int | None) -> str:
-    return "none" if j is None else f"z{j + 1}"
-
-
 def _print_report(report: MetricReport, heading: str | None = None) -> None:
     if heading:
         print(heading)
@@ -63,7 +60,7 @@ def _print_report(report: MetricReport, heading: str | None = None) -> None:
         flags = ",".join(sorted(a.flags)) if a.flags else "-"
         print(
             f"{'a' + name:<14}{_cell(a.mig):>10}{_cell(a.dmig):>10}{_cell(a.scc):>10}  "
-            f"{a.branch:<14}{_dim(a.top_dim):>5}{_dim(a.runner_up_dim):>8}"
+            f"{a.branch:<14}{_dim_token(a.top_dim):>5}{_dim_token(a.runner_up_dim):>8}"
             f"{_cell(a.denominator):>13}  {flags}"
         )
     print(f"{'mean':<14}{_cell(report.mean_mig):>10}{_cell(report.mean_dmig):>10}")
@@ -80,22 +77,19 @@ def cmd_eval(args: argparse.Namespace) -> int:
     cfg = _estimator_config(args)
     if args.workers < 1:
         raise SpecValidationError(f"--workers must be >= 1, got {args.workers}")
-    if len(args.dataset) == 1:
-        path = args.dataset[0]
-        report = evaluate(read_dataset(path), cfg, workers=args.workers)
-        out = Path(args.out) if args.out else Path(path).with_suffix(".report")
-        write_report(report, out)
-        _print_report(report)
-        print(f"report written to {out}")
+    series = [
+        (t, evaluate(read_dataset(path), cfg, workers=args.workers))
+        for t, path in enumerate(args.dataset)
+    ]
+    kind = "report" if len(series) == 1 else "series"
+    out = Path(args.out) if args.out else Path(args.dataset[0]).with_suffix(f".{kind}")
+    if kind == "report":
+        write_report(series[0][1], out)
     else:
-        series = []
-        for t, path in enumerate(args.dataset):
-            series.append((t, evaluate(read_dataset(path), cfg, workers=args.workers)))
-        out = Path(args.out) if args.out else Path(args.dataset[0]).with_suffix(".series")
         write_series(series, out)
-        for t, report in series:
-            _print_report(report, heading=f"epoch {t}")
-        print(f"series written to {out}")
+    for t, report in series:
+        _print_report(report, heading=None if kind == "report" else f"epoch {t}")
+    print(f"{kind} written to {out}")
     return 0
 
 
@@ -113,27 +107,7 @@ def _parse_pmf(text: str) -> tuple[tuple[float, ...], ...]:
 def cmd_synth(args: argparse.Namespace) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    if args.family == "gaussian_pair":
-        spec = SyntheticSpec(
-            family="gaussian_pair",
-            n=args.n,
-            seed=args.seed,
-            rho=args.rho,
-            d_total=args.d_total,
-        )
-        ds, truth = gen_gaussian_pair(spec)
-        _write_pair(ds, truth, args.family, out_dir)
-    elif args.family == "discrete_joint":
-        spec = SyntheticSpec(
-            family="discrete_joint",
-            n=args.n,
-            seed=args.seed,
-            pmf=_parse_pmf(args.pmf),
-            d_total=args.d_total,
-        )
-        ds, truth = gen_discrete_joint(spec)
-        _write_pair(ds, truth, args.family, out_dir)
-    else:
+    if args.family == "trajectory":
         schedule = tuple(np.geomspace(args.noise_start, args.noise_end, args.epochs))
         spec = SyntheticSpec(
             family="trajectory",
@@ -151,15 +125,23 @@ def cmd_synth(args: argparse.Namespace) -> int:
         truth_path = out_dir / "trajectory.truth"
         write_truth("trajectory", gaussian_truth(args.rho), truth_path)
         print(f"wrote {len(epochs)} epoch datasets and {truth_path} to {out_dir}")
-    return 0
-
-
-def _write_pair(ds, truth, family: str, out_dir: Path) -> None:
-    csv_path = out_dir / f"{family}.csv"
-    truth_path = out_dir / f"{family}.truth"
+        return 0
+    discrete = args.family == "discrete_joint"
+    spec = SyntheticSpec(
+        family=args.family,
+        n=args.n,
+        seed=args.seed,
+        rho=args.rho,
+        pmf=_parse_pmf(args.pmf) if discrete else None,
+        d_total=args.d_total,
+    )
+    ds, truth = (gen_discrete_joint if discrete else gen_gaussian_pair)(spec)
+    csv_path = out_dir / f"{args.family}.csv"
+    truth_path = out_dir / f"{args.family}.truth"
     write_dataset(ds, csv_path)
-    write_truth(family, truth, truth_path)
+    write_truth(args.family, truth, truth_path)
     print(f"wrote {csv_path} and {truth_path}")
+    return 0
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:

@@ -108,28 +108,31 @@ def _check_name(name: str, where: str) -> str:
     return name
 
 
-def _read_lines(path: Path) -> list[str]:
-    text = path.read_text(encoding="utf-8")
-    return text.splitlines()
+def _write(path: str | Path, kind: str, body: list[str]) -> None:
+    with open(path, "w", encoding="utf-8", newline="\n") as f:
+        f.write(f"{FORMAT_LINE}\n#kind {kind}\n")
+        f.write("\n".join(body))
+        f.write("\n")
 
 
-def _check_header(lines: list[str], path: Path, kind: str | None) -> int:
-    """Validate the format (and optional kind) lines; return body start."""
+def _read(path: str | Path, kind: str) -> tuple[Path, list[str], int]:
+    """Read a file, check its format and kind lines; return the body start."""
+    path = Path(path)
+    lines = path.read_text(encoding="utf-8").splitlines()
     if not lines or lines[0] != FORMAT_LINE:
         raise FileFormatError(f"{path}:1: expected leading '{FORMAT_LINE}' line")
-    idx = 1
-    if idx < len(lines) and lines[idx].startswith("#kind "):
-        found = lines[idx][len("#kind "):]
-        if kind is not None and found != kind:
+    if len(lines) > 1 and lines[1].startswith("#kind "):
+        found = lines[1][len("#kind "):]
+        if found != kind:
             raise FileFormatError(
                 f"{path}:2: expected '#kind {kind}', found '#kind {found}'"
             )
-        idx += 1
-    elif kind is not None and kind != "dataset":
+        return path, lines, 2
+    if kind != "dataset":
         # Dataset files may omit the kind line (the CSV header is
         # self-identifying); report/series/truth files may not.
         raise FileFormatError(f"{path}:2: expected '#kind {kind}' line")
-    return idx
+    return path, lines, 1
 
 
 # ---------------------------------------------------------------------------
@@ -137,31 +140,25 @@ def _check_header(lines: list[str], path: Path, kind: str | None) -> int:
 
 
 def write_dataset(ds: Dataset, path: str | Path) -> None:
-    path = Path(path)
     for name in ds.names:
         _check_name(name, str(path))
-    lines = [FORMAT_LINE, "#kind dataset"]
-    for i, name in enumerate(ds.names):
-        lines.append(f"#map a{name} -> z{ds.regularized_map[i] + 1}")
+    lines = [f"#map a{name} -> z{j + 1}" for name, j in zip(ds.names, ds.regularized_map)]
     header = [f"z{j + 1}" for j in range(ds.d)]
     header += [
         f"a{name}:{_KIND_TO_TOKEN[col.kind]}"
         for name, col in zip(ds.names, ds.attributes)
     ]
     lines.append(",".join(header))
-    lat = ds.latents
-    attr_vals = [col.values for col in ds.attributes]
-    for r in range(ds.n):
-        row = [format_float(lat[r, j]) for j in range(ds.d)]
-        row += [format_float(vals[r]) for vals in attr_vals]
-        lines.append(",".join(row))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    # Dataset values are finite, so repr equals format_float. Rows are
+    # converted one at a time, and the stacked table is freed before
+    # _write joins the lines: both keep peak memory down.
+    columns = [ds.latents, *(col.values for col in ds.attributes)]
+    lines += [",".join(map(repr, row.tolist())) for row in np.column_stack(columns)]
+    _write(path, "dataset", lines)
 
 
 def read_dataset(path: str | Path) -> Dataset:
-    path = Path(path)
-    lines = _read_lines(path)
-    idx = _check_header(lines, path, "dataset")
+    path, lines, idx = _read(path, "dataset")
 
     mapping: dict[str, int] = {}
     while idx < len(lines) and lines[idx].startswith("#"):
@@ -210,7 +207,7 @@ def read_dataset(path: str | Path) -> Dataset:
     if len(set(names)) != len(names):
         raise FileFormatError(f"{path}:{header_lineno}: duplicate attribute names")
 
-    body: list[list[float]] = []
+    values: list[float] = []
     width = len(tokens)
     for lineno, line in enumerate(lines[idx + 1:], start=header_lineno + 1):
         cells = line.split(",")
@@ -218,13 +215,16 @@ def read_dataset(path: str | Path) -> Dataset:
             raise FileFormatError(
                 f"{path}:{lineno}: expected {width} cells, found {len(cells)}"
             )
-        row = []
-        for tok in cells:
-            v = parse_float(tok, f"{path}:{lineno}")
-            if not math.isfinite(v):
-                raise FileFormatError(f"{path}:{lineno}: non-finite value {tok!r}")
-            row.append(v)
-        body.append(row)
+        try:
+            values += map(float, cells)
+        except ValueError as exc:
+            raise FileFormatError(f"{path}:{lineno}: {exc}") from None
+    table = np.array(values, dtype=np.float64).reshape(-1, width)
+    finite = np.isfinite(table)
+    if not finite.all():
+        r = int(np.argmin(finite.all(axis=1)))
+        bad = table[r][~finite[r]][0]
+        raise FileFormatError(f"{path}:{header_lineno + 1 + r}: non-finite value {bad}")
 
     for name in mapping:
         if name not in names:
@@ -233,7 +233,6 @@ def read_dataset(path: str | Path) -> Dataset:
         mapping.get(name, i) for i, name in enumerate(names)
     )
 
-    table = np.array(body, dtype=np.float64).reshape(len(body), width)
     try:
         latents = table[:, [z_cols[k] for k in range(1, d + 1)]]
         attributes = tuple(
@@ -382,15 +381,11 @@ def _parse_report_body(lines: list[str], path: Path, start_lineno: int) -> Metri
 
 
 def write_report(report: MetricReport, path: str | Path) -> None:
-    path = Path(path)
-    lines = [FORMAT_LINE, "#kind report"] + _report_body(report)
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    _write(path, "report", _report_body(report))
 
 
 def read_report(path: str | Path) -> MetricReport:
-    path = Path(path)
-    lines = _read_lines(path)
-    idx = _check_header(lines, path, "report")
+    path, lines, idx = _read(path, "report")
     return _parse_report_body(lines[idx:], path, idx + 1)
 
 
@@ -399,22 +394,17 @@ def read_report(path: str | Path) -> MetricReport:
 
 
 def write_series(series: list[tuple[int, MetricReport]], path: str | Path) -> None:
-    path = Path(path)
     epochs = [t for t, _ in series]
     if any(b <= a for a, b in zip(epochs, epochs[1:])):
         raise FileFormatError(f"{path}: epochs must be strictly increasing")
-    lines = [FORMAT_LINE, "#kind series"]
+    lines = []
     for t, report in series:
-        lines.append(f"epoch {t}")
-        lines.extend(_report_body(report))
-        lines.append("end")
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+        lines += [f"epoch {t}", *_report_body(report), "end"]
+    _write(path, "series", lines)
 
 
 def read_series(path: str | Path) -> list[tuple[int, MetricReport]]:
-    path = Path(path)
-    lines = _read_lines(path)
-    idx = _check_header(lines, path, "series")
+    path, lines, idx = _read(path, "series")
     series: list[tuple[int, MetricReport]] = []
     i = idx
     while i < len(lines):
@@ -444,48 +434,41 @@ def read_series(path: str | Path) -> list[tuple[int, MetricReport]]:
 # Ground-truth sidecars
 
 
+_TRUTH_KEYS = (
+    "family", "h_a1", "h_a2", "i_a1a2", "h_cond12", "h_cond21", "ideal_dmig1", "ideal_dmig2"
+)
+
+
 def write_truth(family: str, truth: GroundTruth, path: str | Path) -> None:
-    path = Path(path)
-    lines = [
-        FORMAT_LINE,
-        "#kind truth",
-        f"family {family}",
-        f"h_a1 {format_float(truth.h_a[0])}",
-        f"h_a2 {format_float(truth.h_a[1])}",
-        f"i_a1a2 {format_float(truth.i_a1a2)}",
-        f"h_cond12 {format_float(truth.h_cond[0][1])}",
-        f"h_cond21 {format_float(truth.h_cond[1][0])}",
-        f"ideal_dmig1 {format_float(truth.ideal_dmig[0])}",
-        f"ideal_dmig2 {format_float(truth.ideal_dmig[1])}",
-    ]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    values = (
+        *truth.h_a, truth.i_a1a2, truth.h_cond[0][1], truth.h_cond[1][0], *truth.ideal_dmig
+    )
+    lines = [f"family {family}"]
+    lines += [f"{key} {format_float(v)}" for key, v in zip(_TRUTH_KEYS[1:], values)]
+    _write(path, "truth", lines)
 
 
 def read_truth(path: str | Path) -> tuple[str, GroundTruth]:
-    path = Path(path)
-    lines = _read_lines(path)
-    idx = _check_header(lines, path, "truth")
-    kv: dict[str, tuple[str, str]] = {}
+    path, lines, idx = _read(path, "truth")
+    kv: dict[str, str | float] = {}
     for lineno, line in enumerate(lines[idx:], start=idx + 1):
         where = f"{path}:{lineno}"
         key, _, rest = line.partition(" ")
         if not rest:
             raise FileFormatError(f"{where}: malformed line {line!r}")
+        if key not in _TRUTH_KEYS:
+            raise FileFormatError(f"{where}: unknown key {key!r}")
         if key in kv:
             raise FileFormatError(f"{where}: repeated key {key!r}")
-        kv[key] = (rest, where)
-
-    def num(key: str) -> float:
-        return parse_float(*kv[key])
-
+        kv[key] = rest if key == "family" else parse_float(rest, where)
     try:
-        family = kv["family"][0]
-        truth = GroundTruth(
-            h_a=(num("h_a1"), num("h_a2")),
-            i_a1a2=num("i_a1a2"),
-            h_cond=((0.0, num("h_cond12")), (num("h_cond21"), 0.0)),
-            ideal_dmig=(num("ideal_dmig1"), num("ideal_dmig2")),
-        )
+        family, h1, h2, i12, hc12, hc21, d1, d2 = (kv[key] for key in _TRUTH_KEYS)
     except KeyError as exc:
         raise FileFormatError(f"{path}: truth sidecar missing {exc}") from exc
+    truth = GroundTruth(
+        h_a=(h1, h2),
+        i_a1a2=i12,
+        h_cond=((0.0, hc12), (hc21, 0.0)),
+        ideal_dmig=(d1, d2),
+    )
     return family, truth

@@ -345,8 +345,10 @@ def spearman(x: SampleColumn, y: SampleColumn) -> float:
     n = _require_aligned(x, y)
     if n < 2:
         raise InsufficientSamplesError("spearman needs at least 2 samples")
+    distinct = []
     for col, label in ((x, "x"), (y, "y")):
-        if np.unique(col.values).size < 2:
+        distinct.append(np.unique(col.values).size)
+        if distinct[-1] < 2:
             raise UndefinedCorrelationError(
                 f"spearman undefined: column {label} is constant"
             )
@@ -356,10 +358,7 @@ def spearman(x: SampleColumn, y: SampleColumn) -> float:
         return 1.0
     if np.array_equal(rx, (n + 1.0) - ry):
         return -1.0
-    tie_free = (
-        np.unique(x.values).size == n and np.unique(y.values).size == n
-    )
-    if tie_free:
+    if distinct == [n, n]:
         # Tie-free ranks are exact integers; each chunk's sum of squared
         # differences stays below 2**62, so int64 cannot overflow.
         d = (rx - ry).astype(np.int64)

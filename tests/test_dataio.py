@@ -28,6 +28,7 @@ from dmig import (
 )
 from dmig.dataio import format_float, parse_float
 from dmig.synthetic import discrete_truth, gaussian_truth
+from test_golden import DATASETS as GOLDEN_DATASETS
 
 
 def small_dataset(rng: np.random.Generator, *, n=40, d=3, m=2) -> Dataset:
@@ -119,6 +120,30 @@ class TestDatasetRoundTrip:
             write_dataset(ds, tmp_path / "d.csv")
 
 
+def edge_values_dataset() -> Dataset:
+    """Values whose shortest repr is easy to get wrong."""
+    lat = np.array([[-0.0, 1.0], [5e-324, 2.0], [0.1 + 0.2, 3.0], [1e308, -1e-300]])
+    return Dataset(
+        latents=lat,
+        attributes=(SampleColumn(np.array([0.0, -0.0, 1e308, 5e-324]), kind="continuous"),),
+    )
+
+
+class TestDatasetBytes:
+    @pytest.mark.parametrize(
+        "build", [*GOLDEN_DATASETS.values(), edge_values_dataset], ids=lambda f: f.__name__
+    )
+    def test_body_equals_per_cell_format_float(self, tmp_path, build):
+        ds = build()
+        p = tmp_path / "d.csv"
+        write_dataset(ds, p)
+        # Format, kind, one map line per attribute, then the column header.
+        head = p.read_text().split("\n")[: ds.m + 3]
+        columns = [*ds.latents.T, *(col.values for col in ds.attributes)]
+        body = [",".join(format_float(c[r]) for c in columns) for r in range(ds.n)]
+        assert p.read_bytes() == ("\n".join(head + body) + "\n").encode()
+
+
 class TestDatasetErrors:
     def write_and_break(self, tmp_path, mutate):
         ds = small_dataset(np.random.default_rng(4), n=6, d=2, m=1)
@@ -148,6 +173,19 @@ class TestDatasetErrors:
         p = self.write_and_break(tmp_path, mutate)
         with pytest.raises(FileFormatError, match=r":\d+:"):
             read_dataset(p)
+
+    @pytest.mark.parametrize("cell", ["abc", "nan", "+inf", "1e400"])
+    def test_bad_cell_names_its_line(self, tmp_path, cell):
+        def mutate(ls):
+            assert ls[3].startswith("z1,") and len(ls) == 10
+            row = ls[6].split(",")
+            row[1] = cell
+            ls[6] = ",".join(row)
+
+        p = self.write_and_break(tmp_path, mutate)
+        with pytest.raises(FileFormatError) as err:
+            read_dataset(p)
+        assert str(err.value).startswith(f"{p}:7: ")
 
     def test_ragged_row(self, tmp_path):
         p = self.write_and_break(tmp_path, lambda ls: ls.__setitem__(-1, ls[-1] + ",0.0"))
@@ -313,6 +351,7 @@ class TestTruthErrors:
         [
             (r"h_a1 \S+", "h_a1 abc"),
             (r"(i_a1a2 [^\n]*\n)", r"\1\1"),
+            (r"(family [^\n]*\n)", r"\1colour red\n"),
         ],
     )
     def test_malformed_line_raises_with_line_number(self, tmp_path, pattern, replacement):
