@@ -215,6 +215,10 @@ def read_dataset(path: str | Path) -> Dataset:
             raise FileFormatError(
                 f"{path}:{lineno}: expected {width} cells, found {len(cells)}"
             )
+        if "_" in line:
+            # float() reads "1_0" as 10.0; a dataset cell is a plain number.
+            cell = next(c for c in cells if "_" in c)
+            raise FileFormatError(f"{path}:{lineno}: underscore in cell {cell!r}")
         try:
             values += map(float, cells)
         except ValueError as exc:

@@ -24,8 +24,6 @@ from dataclasses import dataclass
 from typing import Iterable, Literal
 
 import numpy as np
-from scipy.spatial import cKDTree
-from scipy.special import digamma
 
 from .errors import (
     AlignmentError,
@@ -134,6 +132,36 @@ class MIEstimate:
     deterministic_relation: bool
 
 
+def _scipy():
+    """The scipy package with spatial and special loaded, on first use.
+
+    Importing scipy takes longer than a whole all-discrete evaluation, so
+    it waits until a kNN estimate runs. scipy.spatial imports
+    scipy.special itself; importing it first on every path keeps pool
+    threads that import at the same time in one order, so none of them
+    is handed a partly initialised module.
+    """
+    import scipy.spatial
+    import scipy.special
+
+    return scipy
+
+
+class cKDTree:
+    """scipy's kd-tree over the rows of data, loaded on first use."""
+
+    def __init__(self, data: np.ndarray) -> None:
+        self._tree = _scipy().spatial.cKDTree(data)
+
+    def query(self, *args, **kwargs):
+        return self._tree.query(*args, **kwargs)
+
+
+def digamma(x):
+    """scipy.special.digamma, loaded on first use."""
+    return _scipy().special.digamma(x)
+
+
 def _require_kind(col: SampleColumn, kind: Kind, op: str) -> None:
     if col.kind != kind:
         raise KindMismatchError(f"{op} requires a {kind} column, got {col.kind}")
@@ -205,8 +233,7 @@ def entropy_continuous(a: SampleColumn, cfg: EstimatorConfig) -> float:
     pts = _jittered(a, cfg)
     if float(np.std(pts)) == 0.0:
         raise DegenerateSampleError("zero-variance column after jitter")
-    tree = cKDTree(pts[:, None])
-    eps = tree.query(pts[:, None], k=[cfg.k + 1], p=np.inf)[0][:, 0]
+    eps = _kth_gap(pts, cfg.k)
     if np.any(eps == 0.0):
         raise DegenerateSampleError(
             "coincident samples: k-th neighbor distance is zero, "
@@ -214,6 +241,27 @@ def entropy_continuous(a: SampleColumn, cfg: EstimatorConfig) -> float:
         )
     n = a.n
     return digamma(n) - digamma(cfg.k) + math.fsum(np.log(2.0 * eps)) / n
+
+
+def _kth_gap(values: np.ndarray, k: int) -> np.ndarray:
+    """Distance from each value to its k-th nearest other value, in value order.
+
+    In 1-D the k nearest others of a point lie among its k left and k
+    right neighbours in sorted order, and fl(b - a) is monotone in both
+    a and b, so the k-th smallest of those 2k gaps equals the kd-tree's
+    k-th neighbour distance bit for bit. Padding with k infinities on
+    each side makes every gap defined; with at least k + 1 values the
+    result is finite. Rows come out sorted by value, not in input order.
+    """
+    n = values.size
+    inf = np.full(k, np.inf)
+    padded = np.concatenate((-inf, np.sort(values), inf))
+    mid = padded[k:k + n]
+    gaps = np.empty((n, 2 * k))
+    for j in range(1, k + 1):
+        gaps[:, j - 1] = mid - padded[k - j:k - j + n]
+        gaps[:, k + j - 1] = padded[k + j:k + j + n] - mid
+    return np.partition(gaps, k - 1, axis=1)[:, k - 1]
 
 
 def _count_within(values: np.ndarray, eps: np.ndarray) -> np.ndarray:

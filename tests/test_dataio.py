@@ -187,6 +187,35 @@ class TestDatasetErrors:
             read_dataset(p)
         assert str(err.value).startswith(f"{p}:7: ")
 
+    def test_underscore_cell_names_its_line(self, tmp_path):
+        # float("1_0") is 10.0; the reader refuses the cell instead.
+        def mutate(ls):
+            row = ls[6].split(",")
+            row[1] = "1_0"
+            ls[6] = ",".join(row)
+
+        p = self.write_and_break(tmp_path, mutate)
+        with pytest.raises(FileFormatError, match="1_0") as err:
+            read_dataset(p)
+        assert str(err.value).startswith(f"{p}:7: ")
+
+    def test_whitespace_around_cells_and_header_underscores_accepted(self, tmp_path):
+        rng = np.random.default_rng(4)
+        ds = Dataset(
+            latents=rng.standard_normal((6, 2)),
+            attributes=(SampleColumn(rng.standard_normal(6), kind="continuous"),),
+            names=("my_factor",),
+        )
+        p = tmp_path / "d.csv"
+        write_dataset(ds, p)
+        lines = p.read_text().splitlines()
+        lines[6] = ",".join(f" {c}\t" for c in lines[6].split(","))
+        p.write_text("\n".join(lines) + "\n")
+        back = read_dataset(p)
+        assert back.names == ("my_factor",)
+        assert np.array_equal(back.latents, ds.latents)
+        assert back.attributes == ds.attributes
+
     def test_ragged_row(self, tmp_path):
         p = self.write_and_break(tmp_path, lambda ls: ls.__setitem__(-1, ls[-1] + ",0.0"))
         with pytest.raises(FileFormatError, match=r":\d+:"):

@@ -30,7 +30,7 @@ from dmig import (
     mi_discrete,
     spearman,
 )
-from dmig.estimation import _count_within, _jittered, rankdata
+from dmig.estimation import _count_within, _jittered, _kth_gap, rankdata
 
 LN2 = 0.6931471805599453
 H_3CAT = 1.0397207708399179          # 1.5 * ln 2
@@ -262,6 +262,38 @@ class TestMarginalCounts:
         assert mi_continuous_detailed(a, z, CFG) == MIEstimate(
             value=0.5984890835614074, deterministic_relation=False
         )
+
+
+class TestKthGap:
+    """The sorted-window KL radii equal the kd-tree radii they replaced."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(min_value=0, max_value=2**31 - 1),
+        st.sampled_from(["gaussian", "rounded", "codes"]),
+        st.integers(min_value=1, max_value=5),
+    )
+    def test_equal_to_kdtree(self, seed, family, k):
+        # Gaussian draws; floats rounded to one digit plus the default
+        # 1e-10 jitter; tie-heavy integer codes at jitter 0.
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(k + 1, 300))
+        if family == "gaussian":
+            pts = rng.standard_normal(n)
+        elif family == "rounded":
+            pts = _jittered(cont(np.round(rng.standard_normal(n), 1)), CFG)
+        else:
+            pts = rng.integers(0, 4, n).astype(float)
+        ref = cKDTree(pts[:, None]).query(pts[:, None], k=[k + 1], p=np.inf)[0][:, 0]
+        assert np.array_equal(np.sort(_kth_gap(pts, k)), np.sort(ref))
+
+    def test_coincident_samples_still_rejected(self):
+        # 1.0 occurs three times: its second-nearest other is at distance 0,
+        # its third-nearest is not.
+        col = cont([0.0, 1.0, 1.0, 1.0, 2.5, 4.0, 7.0])
+        with pytest.raises(DegenerateSampleError):
+            entropy_continuous(col, EstimatorConfig(k=2, jitter=0.0))
+        assert math.isfinite(entropy_continuous(col, EstimatorConfig(k=3, jitter=0.0)))
 
 
 class TestMiDiscrete:
