@@ -92,6 +92,9 @@ def parse_float(token: str, where: str) -> float:
     if token == "nan":
         return math.nan
     try:
+        # float() also reads "1_0" as 10.0 and non-ASCII digits such as "١".
+        if "_" in token or not token.isascii():
+            raise ValueError
         v = float(token)
     except ValueError:
         raise FileFormatError(f"{where}: not a number: {token!r}") from None
@@ -102,8 +105,16 @@ def parse_float(token: str, where: str) -> float:
     return v
 
 
+def _parse_int(token: str, where: str) -> int:
+    if not re.fullmatch(r"-?[0-9]+", token):
+        raise FileFormatError(f"{where}: not an integer: {token!r}")
+    return int(token)
+
+
 def _check_name(name: str, where: str) -> str:
-    if not name or any(c in name for c in " \t,=") or name != name.strip():
+    # Every line break of str.splitlines() and every space but " " is
+    # non-printable, so a printable name without " " has none of them.
+    if not name or not name.isprintable() or any(c in name for c in " ,="):
         raise FileFormatError(f"{where}: unusable attribute name {name!r}")
     return name
 
@@ -215,10 +226,10 @@ def read_dataset(path: str | Path) -> Dataset:
             raise FileFormatError(
                 f"{path}:{lineno}: expected {width} cells, found {len(cells)}"
             )
-        if "_" in line:
-            # float() reads "1_0" as 10.0; a dataset cell is a plain number.
-            cell = next(c for c in cells if "_" in c)
-            raise FileFormatError(f"{path}:{lineno}: underscore in cell {cell!r}")
+        if "_" in line or not line.isascii():
+            # float() reads "1_0" as 10.0 and "١" as 1.0; a cell is a plain number.
+            cell = next(c for c in cells if "_" in c or not c.isascii())
+            raise FileFormatError(f"{path}:{lineno}: not a plain number: {cell!r}")
         try:
             values += map(float, cells)
         except ValueError as exc:
@@ -339,12 +350,14 @@ def _parse_report_body(lines: list[str], path: Path, start_lineno: int) -> Metri
             kv = _parse_kv(rest, where, _CONFIG_KEYS)
             try:
                 cfg = EstimatorConfig(
-                    k=int(kv["k"]),
+                    k=_parse_int(kv["k"], where),
                     jitter=parse_float(kv["jitter"], where),
-                    seed=int(kv["seed"]),
+                    seed=_parse_int(kv["seed"], where),
                 )
                 unit = kv["unit"]
-            except (KeyError, ValueError, DmigError) as exc:
+            except FileFormatError:
+                raise
+            except (KeyError, DmigError) as exc:
                 raise FileFormatError(f"{where}: bad config line: {exc}") from exc
             if unit != "nats":
                 raise FileFormatError(f"{where}: unsupported unit {unit!r}")
@@ -354,6 +367,7 @@ def _parse_report_body(lines: list[str], path: Path, start_lineno: int) -> Metri
             mean_dmig = parse_float(rest, where)
         elif key == "attribute":
             name, _, kvs = rest.partition(" ")
+            _check_name(name, where)
             kv = _parse_kv(kvs, where, _ATTRIBUTE_KEYS)
             try:
                 per.append(
@@ -415,10 +429,7 @@ def read_series(path: str | Path) -> list[tuple[int, MetricReport]]:
         where = f"{path}:{i + 1}"
         if not lines[i].startswith("epoch "):
             raise FileFormatError(f"{where}: expected 'epoch <t>' line, got {lines[i]!r}")
-        try:
-            t = int(lines[i][len("epoch "):])
-        except ValueError:
-            raise FileFormatError(f"{where}: bad epoch index") from None
+        t = _parse_int(lines[i][len("epoch "):], where)
         j = i + 1
         while j < len(lines) and lines[j] != "end":
             j += 1

@@ -173,16 +173,6 @@ class Dataset:
         h.update(np.asarray(self.regularized_map, dtype=np.int64).tobytes())
         return h.hexdigest()
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Dataset):
-            return NotImplemented
-        return (
-            np.array_equal(self.latents, other.latents)
-            and self.attributes == other.attributes
-            and self.regularized_map == other.regularized_map
-            and self.names == other.names
-        )
-
 
 @dataclass(frozen=True, eq=False)
 class MIProfile:
@@ -197,16 +187,6 @@ class MIProfile:
     mi_raw: np.ndarray
     h_marginal: np.ndarray
     h_cond: np.ndarray
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, MIProfile):
-            return NotImplemented
-        return (
-            np.array_equal(self.mi, other.mi)
-            and np.array_equal(self.mi_raw, other.mi_raw)
-            and np.array_equal(self.h_marginal, other.h_marginal)
-            and np.array_equal(self.h_cond, other.h_cond)
-        )
 
 
 @dataclass(frozen=True)

@@ -91,10 +91,6 @@ class SyntheticSpec:
             object.__setattr__(self, "noise_schedule", sched)
 
 
-def _feq(a: float, b: float) -> bool:
-    return a == b or (math.isnan(a) and math.isnan(b))
-
-
 @dataclass(frozen=True, eq=False)
 class GroundTruth:
     """Closed-form information quantities for a synthetic family.
@@ -109,20 +105,6 @@ class GroundTruth:
     i_a1a2: float
     h_cond: tuple[tuple[float, float], tuple[float, float]]
     ideal_dmig: tuple[float, float]
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, GroundTruth):
-            return NotImplemented
-        return (
-            all(_feq(a, b) for a, b in zip(self.h_a, other.h_a))
-            and _feq(self.i_a1a2, other.i_a1a2)
-            and all(
-                _feq(a, b)
-                for ra, rb in zip(self.h_cond, other.h_cond)
-                for a, b in zip(ra, rb)
-            )
-            and all(_feq(a, b) for a, b in zip(self.ideal_dmig, other.ideal_dmig))
-        )
 
 
 def gaussian_truth(rho: float) -> GroundTruth:
@@ -177,23 +159,24 @@ def _gaussian_attributes(spec: SyntheticSpec, rng: np.random.Generator):
     return a1, a2
 
 
+def _dataset(
+    spec: SyntheticSpec,
+    first_two: tuple[np.ndarray, np.ndarray],
+    attrs: tuple[SampleColumn, SampleColumn],
+    rng: np.random.Generator,
+) -> Dataset:
+    """The encoded pair followed by d_total - 2 noise dimensions from rng."""
+    noise = rng.standard_normal((spec.n, spec.d_total - 2))
+    return Dataset(latents=np.column_stack([*first_two, noise]), attributes=attrs)
+
+
 def gen_gaussian_pair(spec: SyntheticSpec) -> tuple[Dataset, GroundTruth]:
     """Correlated Gaussian attributes with an exact-copy encoder."""
     _require_family(spec, "gaussian_pair")
     rng = np.random.default_rng(spec.seed)
     a1, a2 = _gaussian_attributes(spec, rng)
-    parts = [a1, a2]
-    if spec.d_total > 2:
-        parts.append(rng.standard_normal((spec.n, spec.d_total - 2)))
-    latents = np.column_stack(parts)
-    ds = Dataset(
-        latents=latents,
-        attributes=(
-            SampleColumn(a1, kind=CONTINUOUS),
-            SampleColumn(a2, kind=CONTINUOUS),
-        ),
-    )
-    return ds, gaussian_truth(spec.rho)
+    attrs = (SampleColumn(a1, kind=CONTINUOUS), SampleColumn(a2, kind=CONTINUOUS))
+    return _dataset(spec, (a1, a2), attrs, rng), gaussian_truth(spec.rho)
 
 
 def gen_discrete_joint(spec: SyntheticSpec) -> tuple[Dataset, GroundTruth]:
@@ -205,18 +188,8 @@ def gen_discrete_joint(spec: SyntheticSpec) -> tuple[Dataset, GroundTruth]:
     ncols = len(spec.pmf[0])
     a1 = (codes // ncols).astype(np.float64)
     a2 = (codes % ncols).astype(np.float64)
-    parts = [a1, a2]
-    if spec.d_total > 2:
-        parts.append(rng.standard_normal((spec.n, spec.d_total - 2)))
-    latents = np.column_stack(parts)
-    ds = Dataset(
-        latents=latents,
-        attributes=(
-            SampleColumn(a1, kind=DISCRETE),
-            SampleColumn(a2, kind=DISCRETE),
-        ),
-    )
-    return ds, discrete_truth(spec.pmf)
+    attrs = (SampleColumn(a1, kind=DISCRETE), SampleColumn(a2, kind=DISCRETE))
+    return _dataset(spec, (a1, a2), attrs, rng), discrete_truth(spec.pmf)
 
 
 def gen_trajectory(spec: SyntheticSpec) -> list[tuple[int, Dataset]]:
@@ -229,18 +202,13 @@ def gen_trajectory(spec: SyntheticSpec) -> list[tuple[int, Dataset]]:
     _require_family(spec, "trajectory")
     rng = np.random.default_rng(spec.seed)
     a1, a2 = _gaussian_attributes(spec, rng)
-    attrs = (
-        SampleColumn(a1, kind=CONTINUOUS),
-        SampleColumn(a2, kind=CONTINUOUS),
-    )
+    attrs = (SampleColumn(a1, kind=CONTINUOUS), SampleColumn(a2, kind=CONTINUOUS))
     epochs = []
     for t, sigma in enumerate(spec.noise_schedule):
         # key [seed, 0] would collide with the attribute stream: seed
         # sequences zero-pad entropy, so [s] and [s, 0] are identical.
         erng = np.random.default_rng([spec.seed, t + 1])
         noise = erng.standard_normal((spec.n, 2))
-        parts = [a1 + sigma * noise[:, 0], a2 + sigma * noise[:, 1]]
-        if spec.d_total > 2:
-            parts.append(erng.standard_normal((spec.n, spec.d_total - 2)))
-        epochs.append((t, Dataset(latents=np.column_stack(parts), attributes=attrs)))
+        encoded = (a1 + sigma * noise[:, 0], a2 + sigma * noise[:, 1])
+        epochs.append((t, _dataset(spec, encoded, attrs, erng)))
     return epochs

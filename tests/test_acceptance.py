@@ -347,7 +347,7 @@ def test_criterion_8_chain_and_round_trips(tmp_path):
             )
             p = tmp_path / f"{i}.csv"
             write_dataset(ds, p)
-            assert read_dataset(p) == ds
+            assert read_dataset(p).digest() == ds.digest()
         elif pick == 1:
             rep = _random_report(rng)
             p = tmp_path / f"{i}.report"
@@ -365,7 +365,9 @@ def test_criterion_8_chain_and_round_trips(tmp_path):
                 family, truth = "discrete_joint", discrete_truth(random_floored_table(rng, 2))
             p = tmp_path / f"{i}.truth"
             write_truth(family, truth, p)
-            assert read_truth(p) == (family, truth)
+            family_back, truth_back = read_truth(p)
+            assert family_back == family
+            np.testing.assert_equal(vars(truth_back), vars(truth))
         round_trips += 1
 
     ok = chain_ok and round_trips == 100

@@ -128,6 +128,20 @@ class TestPlot:
         svg = tmp_path / "traj_scc_dmig.svg"
         assert svg.read_text().startswith("<svg")
 
+    def test_fixed_x_range_written(self, tmp_path):
+        series = self.make_series(tmp_path)
+        out = tmp_path / "fixed.svg"
+        args = ["plot", str(series), "--x", "scc", "--y", "dmig", "--x-range", "0:3"]
+        assert main([*args, "--out", str(out)]) == 0
+        assert out.read_text().startswith("<svg")
+
+    def test_malformed_range_is_usage_error(self, tmp_path, capsys):
+        series = tmp_path / "unread.series"
+        with pytest.raises(SystemExit) as exc:
+            main(["plot", str(series), "--x", "scc", "--y", "dmig", "--x-range", "3"])
+        assert exc.value.code == 2
+        assert "expected 'lo:hi'" in capsys.readouterr().err
+
     def test_same_axis_rejected(self, tmp_path):
         series = self.make_series(tmp_path)
         assert main(["plot", str(series), "--x", "mig", "--y", "mig"]) == 2
@@ -159,6 +173,26 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not (tmp_path / "d.report").exists()
+
+    def test_estimation_failure_exits_one(self, tmp_path, capsys):
+        rng = np.random.default_rng(22)
+        ds = Dataset(
+            latents=rng.standard_normal((200, 2)),
+            attributes=(SampleColumn(np.full(200, 0.5), kind="continuous"),),
+        )
+        p = tmp_path / "flat.csv"
+        write_dataset(ds, p)
+        assert main(["eval", str(p)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not (tmp_path / "flat.report").exists()
+
+    @pytest.mark.parametrize("out", ["missing/r.report", "."])
+    def test_unwritable_out_is_operational_error(self, tmp_path, capsys, out):
+        p = ideal_binary(tmp_path)
+        assert main(["eval", str(p), "--out", str(tmp_path / out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_plot_of_malformed_series_is_operational_error(self, tmp_path, capsys):
         series = TestPlot().make_series(tmp_path)

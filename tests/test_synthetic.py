@@ -129,7 +129,7 @@ class TestGenerators:
         assert ds.d == 4 and ds.m == 2 and ds.n == 500
         assert np.array_equal(ds.latents[:, 0], ds.attributes[0].values)
         assert np.array_equal(ds.latents[:, 1], ds.attributes[1].values)
-        assert truth == gaussian_truth(0.8)
+        np.testing.assert_equal(vars(truth), vars(gaussian_truth(0.8)))
 
     def test_gaussian_pair_empirical_correlation(self):
         spec = SyntheticSpec(family="gaussian_pair", n=50000, seed=4, rho=0.8)
@@ -141,16 +141,18 @@ class TestGenerators:
         spec = SyntheticSpec(family="gaussian_pair", n=400, seed=5, rho=0.5, d_total=3)
         ds1, _ = gen_gaussian_pair(spec)
         ds2, _ = gen_gaussian_pair(spec)
-        assert ds1 == ds2
+        assert ds1.digest() == ds2.digest()
         spec_d = SyntheticSpec(family="discrete_joint", n=400, seed=5, pmf=TABLE)
-        assert gen_discrete_joint(spec_d)[0] == gen_discrete_joint(spec_d)[0]
+        d1, _ = gen_discrete_joint(spec_d)
+        d2, _ = gen_discrete_joint(spec_d)
+        assert d1.digest() == d2.digest()
 
     def test_discrete_joint_codes_and_copies(self):
         spec = SyntheticSpec(family="discrete_joint", n=2000, seed=6, pmf=TABLE)
         ds, truth = gen_discrete_joint(spec)
         assert set(np.unique(ds.attributes[0].values)) <= {0.0, 1.0}
         assert np.array_equal(ds.latents[:, 0], ds.attributes[0].values)
-        assert truth == discrete_truth(TABLE)
+        np.testing.assert_equal(vars(truth), vars(discrete_truth(TABLE)))
 
     def test_discrete_joint_oracle_agreement_large_n(self):
         spec = SyntheticSpec(family="discrete_joint", n=100000, seed=7, pmf=TABLE)
@@ -173,7 +175,7 @@ class TestGenerators:
         assert [t for t, _ in epochs] == [0, 1, 2]
         first = epochs[0][1]
         for _, ds in epochs[1:]:
-            assert ds.attributes == first.attributes
+            assert all(a is b for a, b in zip(ds.attributes, first.attributes, strict=True))
             assert not np.array_equal(ds.latents, first.latents)
             assert ds.d == 3
 
@@ -183,7 +185,7 @@ class TestGenerators:
         )
         e1 = gen_trajectory(spec)
         e2 = gen_trajectory(spec)
-        assert all(a[1] == b[1] for a, b in zip(e1, e2))
+        assert all(a[1].digest() == b[1].digest() for a, b in zip(e1, e2))
 
     def test_trajectory_scc_endpoints(self):
         cfg = EstimatorConfig()
