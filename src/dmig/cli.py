@@ -56,10 +56,9 @@ def _print_report(report: MetricReport, heading: str | None = None) -> None:
         f"{'branch':<14}{'top':>5}{'runner':>8}{'denominator':>13}  flags"
     )
     for a in report.per_attribute:
-        name = a.name if a.name is not None else "?"
         flags = ",".join(sorted(a.flags)) if a.flags else "-"
         print(
-            f"{'a' + name:<14}{_cell(a.mig):>10}{_cell(a.dmig):>10}{_cell(a.scc):>10}  "
+            f"{'a' + a.name:<14}{_cell(a.mig):>10}{_cell(a.dmig):>10}{_cell(a.scc):>10}  "
             f"{a.branch:<14}{_dim_token(a.top_dim):>5}{_dim_token(a.runner_up_dim):>8}"
             f"{_cell(a.denominator):>13}  {flags}"
         )
@@ -77,12 +76,14 @@ def cmd_eval(args: argparse.Namespace) -> int:
     cfg = _estimator_config(args)
     if args.workers < 1:
         raise SpecValidationError(f"--workers must be >= 1, got {args.workers}")
+    kind = "report" if len(args.dataset) == 1 else "series"
+    out = Path(args.out) if args.out else Path(args.dataset[0]).with_suffix(f".{kind}")
+    if args.out and not out.parent.is_dir():
+        raise SpecValidationError(f"--out directory does not exist: {out.parent}")
     series = [
         (t, evaluate(read_dataset(path), cfg, workers=args.workers))
         for t, path in enumerate(args.dataset)
     ]
-    kind = "report" if len(series) == 1 else "series"
-    out = Path(args.out) if args.out else Path(args.dataset[0]).with_suffix(f".{kind}")
     if kind == "report":
         write_report(series[0][1], out)
     else:

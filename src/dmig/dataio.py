@@ -65,10 +65,6 @@ _FLAGS = frozenset(
         FLAG_REGULARIZATION_FAILURE,
     }
 )
-_CONFIG_KEYS = frozenset({"k", "jitter", "seed", "unit"})
-_ATTRIBUTE_KEYS = frozenset(
-    {"mig", "dmig", "scc", "top_dim", "runner_up_dim", "branch", "denominator", "flags"}
-)
 
 _Z_TOKEN = re.compile(r"^z([1-9][0-9]*)$")
 _MAP_LINE = re.compile(r"^#map a(.+) -> z([1-9][0-9]*)$")
@@ -111,7 +107,7 @@ def _parse_int(token: str, where: str) -> int:
     return int(token)
 
 
-def _check_name(name: str, where: str) -> str:
+def _check_name(name: str | None, where: str) -> str:
     # Every line break of str.splitlines() and every space but " " is
     # non-printable, so a printable name without " " has none of them.
     if not name or not name.isprintable() or any(c in name for c in " ,="):
@@ -280,42 +276,6 @@ def _parse_dim(tok: str, where: str) -> int | None:
     return int(m.group(1)) - 1
 
 
-def _report_body(report: MetricReport) -> list[str]:
-    cfg = report.config_echo
-    lines = [
-        f"digest {report.dataset_digest}",
-        f"config k={cfg.k} jitter={format_float(cfg.jitter)} seed={cfg.seed} unit=nats",
-        f"mean_mig {format_float(report.mean_mig)}",
-        f"mean_dmig {format_float(report.mean_dmig)}",
-    ]
-    for a in report.per_attribute:
-        name = a.name if a.name is not None else "?"
-        _check_name(name, "report")
-        flags = ",".join(sorted(a.flags)) if a.flags else "-"
-        scc = "none" if a.scc is None else format_float(a.scc)
-        lines.append(
-            f"attribute {name} mig={format_float(a.mig)} dmig={format_float(a.dmig)} "
-            f"scc={scc} top_dim={_dim_token(a.top_dim)} "
-            f"runner_up_dim={_dim_token(a.runner_up_dim)} branch={a.branch} "
-            f"denominator={format_float(a.denominator)} flags={flags}"
-        )
-    return lines
-
-
-def _parse_kv(text: str, where: str, keys: frozenset[str]) -> dict[str, str]:
-    kv = {}
-    for item in text.split(" "):
-        key, sep, value = item.partition("=")
-        if not sep:
-            raise FileFormatError(f"{where}: expected key=value, got {item!r}")
-        if key not in keys:
-            raise FileFormatError(f"{where}: unknown key {key!r}")
-        if key in kv:
-            raise FileFormatError(f"{where}: repeated key {key!r}")
-        kv[key] = value
-    return kv
-
-
 def _parse_branch(tok: str, where: str) -> Branch:
     if tok not in get_args(Branch):
         raise FileFormatError(f"{where}: unknown branch {tok!r}")
@@ -330,11 +290,75 @@ def _parse_flags(tok: str, where: str) -> frozenset[str]:
     return flags
 
 
+def _parse_unit(tok: str, where: str) -> None:
+    if tok != "nats":
+        raise FileFormatError(f"{where}: unsupported unit {tok!r}")
+
+
+# The key=value items of the config and attribute lines, in written
+# order: each key maps to a writer of the record's field of that name and
+# a reader of its token. Every estimate is in nats, so `unit` is written
+# from no field and its reader only checks the token.
+_CONFIG_FIELDS = {
+    "k": (str, _parse_int),
+    "jitter": (format_float, parse_float),
+    "seed": (str, _parse_int),
+    "unit": (lambda _: "nats", _parse_unit),
+}
+_ATTRIBUTE_FIELDS = {
+    "mig": (format_float, parse_float),
+    "dmig": (format_float, parse_float),
+    "scc": (
+        lambda v: "none" if v is None else format_float(v),
+        lambda tok, where: None if tok == "none" else parse_float(tok, where),
+    ),
+    "top_dim": (_dim_token, _parse_dim),
+    "runner_up_dim": (_dim_token, _parse_dim),
+    "branch": (str, _parse_branch),
+    "denominator": (format_float, parse_float),
+    "flags": (lambda v: ",".join(sorted(v)) if v else "-", _parse_flags),
+}
+
+
+def _kv_text(record: object, fields: dict) -> str:
+    return " ".join(
+        f"{key}={write(getattr(record, key, None))}" for key, (write, _) in fields.items()
+    )
+
+
+def _parse_kv(text: str, where: str, fields: dict) -> dict[str, object]:
+    """The values of a line's key=value items, each key of fields once."""
+    tokens = {}
+    for item in text.split(" "):
+        key, sep, value = item.partition("=")
+        if not sep:
+            raise FileFormatError(f"{where}: expected key=value, got {item!r}")
+        if key not in fields:
+            raise FileFormatError(f"{where}: unknown key {key!r}")
+        if key in tokens:
+            raise FileFormatError(f"{where}: repeated key {key!r}")
+        tokens[key] = value
+    missing = [key for key in fields if key not in tokens]
+    if missing:
+        raise FileFormatError(f"{where}: missing keys {missing}")
+    return {key: read(tokens[key], where) for key, (_, read) in fields.items()}
+
+
+def _report_body(report: MetricReport, path: str | Path) -> list[str]:
+    lines = [
+        f"digest {report.dataset_digest}",
+        f"config {_kv_text(report.config_echo, _CONFIG_FIELDS)}",
+        f"mean_mig {format_float(report.mean_mig)}",
+        f"mean_dmig {format_float(report.mean_dmig)}",
+    ]
+    for a in report.per_attribute:
+        name = _check_name(a.name, str(path))
+        lines.append(f"attribute {name} {_kv_text(a, _ATTRIBUTE_FIELDS)}")
+    return lines
+
+
 def _parse_report_body(lines: list[str], path: Path, start_lineno: int) -> MetricReport:
-    digest = None
-    cfg = None
-    mean_mig = None
-    mean_dmig = None
+    kw: dict[str, object] = {}
     per: list[AttributeMetrics] = []
     seen: set[str] = set()
     for off, line in enumerate(lines):
@@ -345,61 +369,29 @@ def _parse_report_body(lines: list[str], path: Path, start_lineno: int) -> Metri
             raise FileFormatError(f"{where}: repeated {ident!r} line")
         seen.add(ident)
         if key == "digest":
-            digest = rest
+            kw["dataset_digest"] = rest
         elif key == "config":
-            kv = _parse_kv(rest, where, _CONFIG_KEYS)
+            kv = _parse_kv(rest, where, _CONFIG_FIELDS)
+            del kv["unit"]
             try:
-                cfg = EstimatorConfig(
-                    k=_parse_int(kv["k"], where),
-                    jitter=parse_float(kv["jitter"], where),
-                    seed=_parse_int(kv["seed"], where),
-                )
-                unit = kv["unit"]
-            except FileFormatError:
-                raise
-            except (KeyError, DmigError) as exc:
+                kw["config_echo"] = EstimatorConfig(**kv)
+            except DmigError as exc:
                 raise FileFormatError(f"{where}: bad config line: {exc}") from exc
-            if unit != "nats":
-                raise FileFormatError(f"{where}: unsupported unit {unit!r}")
-        elif key == "mean_mig":
-            mean_mig = parse_float(rest, where)
-        elif key == "mean_dmig":
-            mean_dmig = parse_float(rest, where)
+        elif key in ("mean_mig", "mean_dmig"):
+            kw[key] = parse_float(rest, where)
         elif key == "attribute":
             name, _, kvs = rest.partition(" ")
             _check_name(name, where)
-            kv = _parse_kv(kvs, where, _ATTRIBUTE_KEYS)
-            try:
-                per.append(
-                    AttributeMetrics(
-                        name=name,
-                        mig=parse_float(kv["mig"], where),
-                        dmig=parse_float(kv["dmig"], where),
-                        scc=None if kv["scc"] == "none" else parse_float(kv["scc"], where),
-                        top_dim=_parse_dim(kv["top_dim"], where),
-                        runner_up_dim=_parse_dim(kv["runner_up_dim"], where),
-                        branch=_parse_branch(kv["branch"], where),
-                        denominator=parse_float(kv["denominator"], where),
-                        flags=_parse_flags(kv["flags"], where),
-                    )
-                )
-            except KeyError as exc:
-                raise FileFormatError(f"{where}: attribute line missing {exc}") from exc
+            per.append(AttributeMetrics(name=name, **_parse_kv(kvs, where, _ATTRIBUTE_FIELDS)))
         else:
             raise FileFormatError(f"{where}: unknown report line {line!r}")
-    if digest is None or cfg is None or mean_mig is None or mean_dmig is None or not per:
+    if len(kw) < 4 or not per:  # the digest, config and two mean lines
         raise FileFormatError(f"{path}: incomplete report block")
-    return MetricReport(
-        per_attribute=tuple(per),
-        mean_mig=mean_mig,
-        mean_dmig=mean_dmig,
-        config_echo=cfg,
-        dataset_digest=digest,
-    )
+    return MetricReport(per_attribute=tuple(per), **kw)
 
 
 def write_report(report: MetricReport, path: str | Path) -> None:
-    _write(path, "report", _report_body(report))
+    _write(path, "report", _report_body(report, path))
 
 
 def read_report(path: str | Path) -> MetricReport:
@@ -411,13 +403,17 @@ def read_report(path: str | Path) -> MetricReport:
 # Series files
 
 
-def write_series(series: list[tuple[int, MetricReport]], path: str | Path) -> None:
+def _check_epochs(series: list[tuple[int, MetricReport]], path: str | Path) -> None:
     epochs = [t for t, _ in series]
     if any(b <= a for a, b in zip(epochs, epochs[1:])):
         raise FileFormatError(f"{path}: epochs must be strictly increasing")
+
+
+def write_series(series: list[tuple[int, MetricReport]], path: str | Path) -> None:
+    _check_epochs(series, path)
     lines = []
     for t, report in series:
-        lines += [f"epoch {t}", *_report_body(report), "end"]
+        lines += [f"epoch {t}", *_report_body(report, path), "end"]
     _write(path, "series", lines)
 
 
@@ -439,9 +435,7 @@ def read_series(path: str | Path) -> list[tuple[int, MetricReport]]:
         i = j + 1
     if not series:
         raise FileFormatError(f"{path}: series contains no epochs")
-    epochs = [t for t, _ in series]
-    if any(b <= a for a, b in zip(epochs, epochs[1:])):
-        raise FileFormatError(f"{path}: epochs must be strictly increasing")
+    _check_epochs(series, path)
     return series
 
 

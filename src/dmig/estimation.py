@@ -361,10 +361,11 @@ def conditional_entropy(
     return h_a - mi_continuous_detailed(a, b, cfg).value
 
 
-def rankdata(values: np.ndarray) -> np.ndarray:
-    """Average ranks from 1, tied values sharing the mean of their ranks.
+def rankdata(values: np.ndarray) -> tuple[np.ndarray, int]:
+    """Average ranks from 1 and the number of distinct values.
 
-    Equals scipy.stats.rankdata(values, method="average"), float64 too.
+    Tied values share the mean of their ranks; the ranks equal
+    scipy.stats.rankdata(values, method="average"), float64 too.
     """
     order = np.argsort(values, kind="stable")
     ordered = values[order]
@@ -372,7 +373,7 @@ def rankdata(values: np.ndarray) -> np.ndarray:
     dense = np.empty(values.size, dtype=np.intp)
     dense[order] = np.cumsum(first)
     count = np.concatenate((np.flatnonzero(first), [values.size]))
-    return 0.5 * (count[dense] + count[dense - 1] + 1)
+    return 0.5 * (count[dense] + count[dense - 1] + 1), count.size - 1
 
 
 def spearman(x: SampleColumn, y: SampleColumn) -> float:
@@ -383,20 +384,18 @@ def spearman(x: SampleColumn, y: SampleColumn) -> float:
     the integer formula 1 - 6*sum(d^2)/(n*(n^2-1)).
     """
     n = _require_aligned(x, y)
-    distinct = []
-    for col, label in ((x, "x"), (y, "y")):
-        distinct.append(np.unique(col.values).size)
-        if distinct[-1] < 2:
+    rx, distinct_x = rankdata(x.values)
+    ry, distinct_y = rankdata(y.values)
+    for distinct, label in ((distinct_x, "x"), (distinct_y, "y")):
+        if distinct < 2:
             raise UndefinedCorrelationError(
                 f"spearman undefined: column {label} is constant"
             )
-    rx = rankdata(x.values)
-    ry = rankdata(y.values)
     if np.array_equal(rx, ry):
         return 1.0
     if np.array_equal(rx, (n + 1.0) - ry):
         return -1.0
-    if distinct == [n, n]:
+    if distinct_x == distinct_y == n:
         # Tie-free ranks are exact integers; each chunk's sum of squared
         # differences stays below 2**62, so int64 cannot overflow.
         d = (rx - ry).astype(np.int64)

@@ -1,9 +1,11 @@
 """Command-line tests, all in-process through main(argv)."""
 
+import re
+
 import numpy as np
 import pytest
 
-from dmig import Dataset, SampleColumn, write_dataset
+from dmig import Dataset, SampleColumn, gaussian_truth, write_dataset, write_truth
 from dmig.cli import main
 
 
@@ -43,6 +45,26 @@ class TestEval:
         assert main(["eval", str(tmp_path / "nope.csv")]) == 2
         assert capsys.readouterr().err != ""
 
+    def test_sentinel_dmig_printed_and_skipped_in_plot(self, tmp_path, capsys):
+        # a1 is a function of a2, so H(a1 | a2) = 0 and DMIG(a1) is the
+        # signed-infinity sentinel; a2's DMIG stays finite.
+        a2 = np.random.default_rng(23).integers(0, 4, 600).astype(float)
+        a1 = np.floor(a2 / 2)
+        ds = Dataset(
+            latents=np.column_stack([a1, a2]),
+            attributes=(SampleColumn(a1, kind="discrete"), SampleColumn(a2, kind="discrete")),
+        )
+        p = tmp_path / "det.csv"
+        write_dataset(ds, p)
+        series = tmp_path / "det.series"
+        assert main(["eval", str(p), str(p), "--out", str(series)]) == 0
+        rows = [l for l in capsys.readouterr().out.splitlines() if l.startswith("a1 ")]
+        assert len(rows) == 2
+        assert all(re.fullmatch(r"[+-]inf", row.split()[2]) for row in rows)
+        svg = tmp_path / "det.svg"
+        assert main(["plot", str(series), "--x", "mig", "--y", "dmig", "--out", str(svg)]) == 0
+        assert "<!-- skipped 2 non-finite points -->" in svg.read_text()
+
     def test_multiple_datasets_make_a_series(self, tmp_path):
         p1 = ideal_binary(tmp_path, "e0.csv")
         p2 = ideal_binary(tmp_path, "e1.csv")
@@ -77,6 +99,12 @@ class TestSynth:
                 "--out-dir", str(tmp_path)]
         assert main(args) == 2
 
+    def test_bad_pmf_is_usage_error(self, tmp_path, capsys):
+        args = ["synth", "--family", "discrete_joint", "--pmf", "0.5,x;0.5,0",
+                "--out-dir", str(tmp_path)]
+        assert main(args) == 2
+        assert capsys.readouterr().err.startswith("error: bad --pmf value '0.5,x;0.5,0'")
+
     def test_trajectory_writes_epoch_files(self, tmp_path):
         args = ["synth", "--family", "trajectory", "--n", "50", "--epochs", "4",
                 "--out-dir", str(tmp_path)]
@@ -109,6 +137,18 @@ class TestOracle:
         assert main(["oracle", str(p), "--tol", "0.01"]) == 0
         out = capsys.readouterr().out
         assert "dmig_a1" in out and "FAIL" not in out
+
+    def test_truth_for_other_attribute_count_is_operational_error(self, tmp_path, capsys):
+        rng = np.random.default_rng(24)
+        ds = Dataset(
+            latents=rng.standard_normal((50, 1)),
+            attributes=(SampleColumn(rng.standard_normal(50), kind="continuous"),),
+        )
+        p = tmp_path / "one.csv"
+        write_dataset(ds, p)
+        write_truth("gaussian_pair", gaussian_truth(0.8), tmp_path / "one.truth")
+        assert main(["oracle", str(p)]) == 2
+        assert "describes 2 attributes but" in capsys.readouterr().err
 
 
 class TestPlot:
@@ -193,6 +233,17 @@ class TestExitCodes:
         assert main(["eval", str(p), "--out", str(tmp_path / out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_out_in_missing_directory_fails_before_estimating(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        p = ideal_binary(tmp_path)
+        calls = []
+        monkeypatch.setattr("dmig.cli.evaluate", lambda *args, **kw: calls.append(args))
+        assert main(["eval", str(p), "--out", str(tmp_path / "nodir" / "r.report")]) == 2
+        assert calls == []
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.endswith(f" {tmp_path / 'nodir'}\n")
 
     def test_plot_of_malformed_series_is_operational_error(self, tmp_path, capsys):
         series = TestPlot().make_series(tmp_path)

@@ -2,6 +2,7 @@
 
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -372,6 +373,15 @@ class TestReportErrors:
         p.write_text(text)
         with pytest.raises(FileFormatError, match=r"r\.report:\d+: "):
             read_report(p)
+
+    def test_nameless_attribute_rejected_on_write(self, tmp_path):
+        # Two nameless records would both be written as one repeated line.
+        rep = small_report(np.random.default_rng(13))
+        nameless = replace(rep, per_attribute=tuple(
+            replace(a, name=None) for a in rep.per_attribute
+        ))
+        with pytest.raises(FileFormatError, match="unusable attribute name None"):
+            write_report(nameless, tmp_path / "r.report")
 
     def test_incomplete_block_names_the_file(self, tmp_path):
         p = tmp_path / "r.report"

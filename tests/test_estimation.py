@@ -72,6 +72,17 @@ class TestSampleColumn:
         with pytest.raises(KindMismatchError):
             SampleColumn(np.array([0.0, 0.5]), kind="discrete")
 
+    @pytest.mark.parametrize(
+        "values, kind, match",
+        [
+            (np.zeros((2, 2)), "continuous", "one-dimensional"),
+            (np.zeros(3), "ordinal", "unknown column kind"),
+        ],
+    )
+    def test_rejects_bad_shape_or_kind(self, values, kind, match):
+        with pytest.raises(KindMismatchError, match=match):
+            SampleColumn(values, kind=kind)
+
     def test_values_read_only(self):
         col = cont([1.0, 2.0, 3.0])
         with pytest.raises(ValueError):
@@ -381,10 +392,11 @@ class TestRanks:
     @given(st.one_of(TIE_HEAVY, ROUNDED, TIE_FREE))
     def test_rankdata_equals_scipy_average(self, values):
         values = np.array(values)
-        ours = rankdata(values)
+        ours, distinct = rankdata(values)
         ref = scipy_rankdata(values, method="average")
         assert ours.dtype == ref.dtype
         assert np.array_equal(ours, ref)
+        assert distinct == np.unique(values).size
 
     @pytest.mark.parametrize("n", [2, 7, 1000, 2_000_000])
     def test_tie_free_spearman_equals_python_int_sum(self, n):

@@ -93,6 +93,22 @@ class TestDatasetValidation:
                 names=("x", "x"),
             )
 
+    @pytest.mark.parametrize(
+        "latents, attrs, kw, match",
+        [
+            (np.zeros(10), (), {}, "N x D matrix"),
+            (np.zeros((1, 1)), (), {}, "N >= 2 and D >= 1"),
+            (np.zeros((10, 0)), (), {}, "N >= 2 and D >= 1"),
+            (np.zeros((10, 1)), (np.arange(10.0) % 2,), {}, "not a SampleColumn"),
+            (np.zeros((10, 2)), (disc([0, 1] * 5),), {"regularized_map": (0, 1)}, "map length"),
+            (np.zeros((10, 2)), (disc([0, 1] * 5),), {"names": ("x", "y")}, "names length"),
+            (np.zeros((10, 2)), (disc([0, 1] * 5),), {"names": ("",)}, "nonempty"),
+        ],
+    )
+    def test_structural_invariants_rejected(self, latents, attrs, kw, match):
+        with pytest.raises(DatasetInvariantError, match=match):
+            Dataset(latents=latents, attributes=attrs, **kw)
+
     def test_default_identity_map_and_names(self):
         ds = binary_pair_dataset()
         assert ds.regularized_map == (0, 1)
@@ -159,6 +175,12 @@ class TestMiProfile:
             names=("flat",),
         )
         with pytest.raises(MetricComputationError, match="flat"):
+            mi_profile(ds, CFG)
+
+    def test_too_few_samples_for_k_rejected(self):
+        a = np.array([0.0, 1.0, 1.0])
+        ds = Dataset(latents=a[:, None], attributes=(disc(a),))
+        with pytest.raises(MetricComputationError, match=r"N=3 .* k=3"):
             mi_profile(ds, CFG)
 
     def test_each_column_and_pair_estimated_once(self, monkeypatch):
@@ -346,6 +368,17 @@ class TestEvaluate:
     def test_empty_attribute_set_rejected(self):
         ds = Dataset(latents=np.zeros((10, 1)) + np.arange(10)[:, None], attributes=())
         with pytest.raises(DatasetInvariantError):
+            evaluate(ds, CFG)
+
+    def test_constant_regularized_latent_fails_scc(self):
+        # The profile and MIG are defined, but Spearman is not.
+        a = np.array([0.0, 1.0] * 50)
+        ds = Dataset(
+            latents=np.column_stack([np.zeros(100), a]),
+            attributes=(disc(a),),
+            names=("flat_z",),
+        )
+        with pytest.raises(MetricComputationError, match="SCC failed for attribute 'flat_z'"):
             evaluate(ds, CFG)
 
     def test_single_ideal_binary_attribute(self):

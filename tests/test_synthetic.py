@@ -70,6 +70,13 @@ class TestSpecValidation:
         with pytest.raises(SpecValidationError):
             SyntheticSpec(family="gaussian_pair", n=100, seed=0, d_total=1)
 
+    @pytest.mark.parametrize(
+        "n, seed, match", [(1, 0, "n must be"), (100, -1, "seed"), (100, 2**64, "seed")]
+    )
+    def test_sample_count_and_seed_checked(self, n, seed, match):
+        with pytest.raises(SpecValidationError, match=match):
+            SyntheticSpec(family="gaussian_pair", n=n, seed=seed, rho=0.5)
+
     def test_family_generator_mismatch(self):
         spec = SyntheticSpec(family="gaussian_pair", n=100, seed=0, rho=0.5)
         with pytest.raises(SpecValidationError):
