@@ -9,6 +9,7 @@ problems (missing or malformed files, invalid flag values).
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -72,14 +73,23 @@ def _estimator_config(args: argparse.Namespace) -> EstimatorConfig:
         raise SpecValidationError(f"invalid estimator flag: {exc}") from None
 
 
+def _out_path(flag: str | None, default: Path) -> Path:
+    """An explicit --out, whose directory must exist, else the default,
+    which sits beside an input so that a missing input is named first."""
+    if not flag:
+        return default
+    out = Path(flag)
+    if not out.parent.is_dir():
+        raise SpecValidationError(f"--out directory does not exist: {out.parent}")
+    return out
+
+
 def cmd_eval(args: argparse.Namespace) -> int:
     cfg = _estimator_config(args)
     if args.workers < 1:
         raise SpecValidationError(f"--workers must be >= 1, got {args.workers}")
     kind = "report" if len(args.dataset) == 1 else "series"
-    out = Path(args.out) if args.out else Path(args.dataset[0]).with_suffix(f".{kind}")
-    if args.out and not out.parent.is_dir():
-        raise SpecValidationError(f"--out directory does not exist: {out.parent}")
+    out = _out_path(args.out, Path(args.dataset[0]).with_suffix(f".{kind}"))
     series = [
         (t, evaluate(read_dataset(path), cfg, workers=args.workers))
         for t, path in enumerate(args.dataset)
@@ -109,6 +119,10 @@ def cmd_synth(args: argparse.Namespace) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     if args.family == "trajectory":
+        if args.epochs < 1:
+            raise SpecValidationError(f"--epochs must be >= 1, got {args.epochs}")
+        if not all(0.0 < s < math.inf for s in (args.noise_start, args.noise_end)):
+            raise SpecValidationError("--noise-start and --noise-end must be finite and > 0")
         schedule = tuple(np.geomspace(args.noise_start, args.noise_end, args.epochs))
         spec = SyntheticSpec(
             family="trajectory",
@@ -146,6 +160,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
+    if not args.tol >= 0.0:
+        raise SpecValidationError(f"--tol must be >= 0, got {args.tol}")
     path = Path(args.dataset)
     truth_path = path.with_suffix(".truth")
     family, truth = read_truth(truth_path)
@@ -197,14 +213,9 @@ def _range_arg(text: str) -> tuple[float, float]:
 
 
 def cmd_plot(args: argparse.Namespace) -> int:
-    series = read_series(args.series)
-    out = (
-        Path(args.out)
-        if args.out
-        else Path(args.series).with_name(
-            f"{Path(args.series).stem}_{args.x}_{args.y}.svg"
-        )
-    )
+    path = Path(args.series)
+    out = _out_path(args.out, path.with_name(f"{path.stem}_{args.x}_{args.y}.svg"))
+    series = read_series(path)
     spec = PlotSpec(
         x_metric=args.x,
         y_metric=args.y,

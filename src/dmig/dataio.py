@@ -48,8 +48,6 @@ __all__ = [
     "write_series",
     "read_truth",
     "write_truth",
-    "format_float",
-    "parse_float",
 ]
 
 FORMAT_LINE = "#format v1"
@@ -267,9 +265,7 @@ def _dim_token(j: int | None) -> str:
     return "none" if j is None else f"z{j + 1}"
 
 
-def _parse_dim(tok: str, where: str) -> int | None:
-    if tok == "none":
-        return None
+def _parse_dim(tok: str, where: str) -> int:
     m = _Z_TOKEN.match(tok)
     if not m:
         raise FileFormatError(f"{where}: bad dimension token {tok!r}")
@@ -295,6 +291,14 @@ def _parse_unit(tok: str, where: str) -> None:
         raise FileFormatError(f"{where}: unsupported unit {tok!r}")
 
 
+def _or_none(write, read) -> tuple:
+    """The writer and reader pair of a field that may be None ('none')."""
+    return (
+        lambda v: "none" if v is None else write(v),
+        lambda tok, where: None if tok == "none" else read(tok, where),
+    )
+
+
 # The key=value items of the config and attribute lines, in written
 # order: each key maps to a writer of the record's field of that name and
 # a reader of its token. Every estimate is in nats, so `unit` is written
@@ -308,12 +312,9 @@ _CONFIG_FIELDS = {
 _ATTRIBUTE_FIELDS = {
     "mig": (format_float, parse_float),
     "dmig": (format_float, parse_float),
-    "scc": (
-        lambda v: "none" if v is None else format_float(v),
-        lambda tok, where: None if tok == "none" else parse_float(tok, where),
-    ),
+    "scc": _or_none(format_float, parse_float),
     "top_dim": (_dim_token, _parse_dim),
-    "runner_up_dim": (_dim_token, _parse_dim),
+    "runner_up_dim": _or_none(_dim_token, _parse_dim),
     "branch": (str, _parse_branch),
     "denominator": (format_float, parse_float),
     "flags": (lambda v: ",".join(sorted(v)) if v else "-", _parse_flags),

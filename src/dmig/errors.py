@@ -8,6 +8,20 @@ errors. All inherit from DmigError so callers can catch the whole family.
 
 from __future__ import annotations
 
+__all__ = [
+    "DmigError",
+    "KindMismatchError",
+    "AlignmentError",
+    "InsufficientSamplesError",
+    "DegenerateSampleError",
+    "UndefinedCorrelationError",
+    "ZeroEntropyAttributeError",
+    "DatasetInvariantError",
+    "MetricComputationError",
+    "FileFormatError",
+    "SpecValidationError",
+]
+
 
 class DmigError(Exception):
     """Base class for all errors raised by this package."""

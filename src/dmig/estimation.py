@@ -40,9 +40,9 @@ __all__ = [
     "entropy_discrete",
     "entropy_continuous",
     "mi_continuous_detailed",
-    "mi_discrete",
-    "conditional_entropy",
     "spearman",
+    "CONTINUOUS",
+    "DISCRETE",
 ]
 
 Kind = Literal["continuous", "discrete"]
@@ -105,8 +105,8 @@ class EstimatorConfig:
     def __post_init__(self) -> None:
         if self.k < 1:
             raise InsufficientSamplesError(f"k must be >= 1, got {self.k}")
-        if not (self.jitter >= 0.0):
-            raise DegenerateSampleError(f"jitter must be >= 0, got {self.jitter}")
+        if not (0.0 <= self.jitter < math.inf):
+            raise DegenerateSampleError(f"jitter must be finite and >= 0, got {self.jitter}")
         if not (0 <= self.seed < 2**64):
             raise DegenerateSampleError("seed must fit in 64 unsigned bits")
 
@@ -267,9 +267,11 @@ def _count_within(values: np.ndarray, eps: np.ndarray) -> np.ndarray:
     u beyond fl(x + eps) has u - x > eps exactly, and eps is a float), so
     each edge steps inwards until its distinct value passes. A row with
     eps == 0 counts nothing. Rows are searched in value order, which keeps
-    the memory reads local.
+    the memory reads local. Each row's count depends only on its own value
+    and radius and goes back to its own index, so the order of tied rows
+    in the sort does not matter and no stable sort is needed.
     """
-    order = np.argsort(values, kind="stable")
+    order = np.argsort(values)
     ordered = values[order]
     first = np.concatenate(([True], ordered[1:] != ordered[:-1]))
     u = ordered[first]
@@ -365,9 +367,11 @@ def rankdata(values: np.ndarray) -> tuple[np.ndarray, int]:
     """Average ranks from 1 and the number of distinct values.
 
     Tied values share the mean of their ranks; the ranks equal
-    scipy.stats.rankdata(values, method="average"), float64 too.
+    scipy.stats.rankdata(values, method="average"), float64 too. Every
+    member of a tie gets the same rank, so the order of tied values in the
+    sort does not matter and no stable sort is needed.
     """
-    order = np.argsort(values, kind="stable")
+    order = np.argsort(values)
     ordered = values[order]
     first = np.concatenate(([True], ordered[1:] != ordered[:-1]))
     dense = np.empty(values.size, dtype=np.intp)

@@ -75,9 +75,10 @@ class SyntheticSpec:
             if not rows or any(len(r) != len(rows[0]) or not r for r in rows):
                 raise SpecValidationError("pmf must be a nonempty rectangular table")
             flat = [v for row in rows for v in row]
-            if any(v < 0.0 for v in flat):
+            # Both checks are written so that a NaN entry fails them.
+            if not all(v >= 0.0 for v in flat):
                 raise SpecValidationError("pmf entries must be >= 0")
-            if abs(math.fsum(flat) - 1.0) > 1e-12:
+            if not abs(math.fsum(flat) - 1.0) <= 1e-12:
                 raise SpecValidationError("pmf must sum to 1 within 1e-12")
             object.__setattr__(self, "pmf", rows)
         if self.family == "trajectory":

@@ -19,7 +19,6 @@ from dmig import (
     FLAG_REGULARIZATION_FAILURE,
     SampleColumn,
     SyntheticSpec,
-    conditional_entropy,
     entropy_continuous,
     entropy_discrete,
     evaluate,
@@ -27,7 +26,6 @@ from dmig import (
     gen_gaussian_pair,
     gen_trajectory,
     mi_continuous_detailed,
-    mi_discrete,
     read_dataset,
     read_report,
     read_series,
@@ -37,6 +35,7 @@ from dmig import (
     write_series,
     write_truth,
 )
+from dmig.estimation import conditional_entropy, mi_discrete
 from dmig.synthetic import discrete_truth, gaussian_truth
 
 from conftest import record_acceptance

@@ -105,6 +105,20 @@ class TestSynth:
         assert main(args) == 2
         assert capsys.readouterr().err.startswith("error: bad --pmf value '0.5,x;0.5,0'")
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--family", "trajectory", "--noise-start", "0"],
+            ["--family", "trajectory", "--epochs", "-1"],
+            ["--family", "discrete_joint", "--pmf", "0.5,0.5;nan,0"],
+        ],
+    )
+    def test_invalid_flag_value_is_usage_error(self, tmp_path, capsys, flags):
+        assert main(["synth", "--n", "50", "--out-dir", str(tmp_path), *flags]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not list(tmp_path.iterdir())
+
     def test_trajectory_writes_epoch_files(self, tmp_path):
         args = ["synth", "--family", "trajectory", "--n", "50", "--epochs", "4",
                 "--out-dir", str(tmp_path)]
@@ -137,6 +151,15 @@ class TestOracle:
         assert main(["oracle", str(p), "--tol", "0.01"]) == 0
         out = capsys.readouterr().out
         assert "dmig_a1" in out and "FAIL" not in out
+
+    @pytest.mark.parametrize("tol", ["nan", "-1"])
+    def test_invalid_tolerance_is_usage_error(self, tmp_path, capsys, tol):
+        p = self.synth(tmp_path, "gaussian_pair", 200)
+        capsys.readouterr()
+        assert main(["oracle", str(p), "--tol", tol]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
     def test_truth_for_other_attribute_count_is_operational_error(self, tmp_path, capsys):
         rng = np.random.default_rng(24)
@@ -205,7 +228,13 @@ class TestPlot:
 class TestExitCodes:
     @pytest.mark.parametrize(
         "flags",
-        [["--k", "0"], ["--jitter", "-1"], ["--seed", "-1"], ["--workers", "0"]],
+        [
+            ["--k", "0"],
+            ["--jitter", "-1"],
+            ["--seed", "-1"],
+            ["--workers", "0"],
+            ["--jitter", "inf"],
+        ],
     )
     def test_invalid_flag_value_is_usage_error(self, tmp_path, capsys, flags):
         p = ideal_binary(tmp_path)
@@ -241,6 +270,21 @@ class TestExitCodes:
         calls = []
         monkeypatch.setattr("dmig.cli.evaluate", lambda *args, **kw: calls.append(args))
         assert main(["eval", str(p), "--out", str(tmp_path / "nodir" / "r.report")]) == 2
+        assert calls == []
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.endswith(f" {tmp_path / 'nodir'}\n")
+
+    def test_plot_out_in_missing_directory_fails_before_rendering(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        series = TestPlot().make_series(tmp_path)
+        calls = []
+        monkeypatch.setattr(
+            "dmig.cli.render_series_scatter", lambda *args: calls.append(args) or ""
+        )
+        capsys.readouterr()
+        out = tmp_path / "nodir" / "p.svg"
+        assert main(["plot", str(series), "--x", "mig", "--y", "dmig", "--out", str(out)]) == 2
         assert calls == []
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.endswith(f" {tmp_path / 'nodir'}\n")

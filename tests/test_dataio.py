@@ -357,6 +357,7 @@ class TestReportErrors:
             (r"unit=nats", "unit=nats colour=red"),
             (r"#kind report\n", ""),
             (r"top_dim=z", "top_dim=q"),
+            (r"top_dim=z[0-9]+", "top_dim=none"),
             (r" flags=\S+", ""),
             (r"(digest [^\n]*\n)", r"\1colour red\n"),
             (r"attribute \S+ ", "attribute  "),

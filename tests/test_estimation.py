@@ -23,14 +23,19 @@ from dmig import (
     MIEstimate,
     SampleColumn,
     UndefinedCorrelationError,
-    conditional_entropy,
     entropy_continuous,
     entropy_discrete,
     mi_continuous_detailed,
-    mi_discrete,
     spearman,
 )
-from dmig.estimation import _count_within, _jittered, _kth_gap, rankdata
+from dmig.estimation import (
+    _count_within,
+    _jittered,
+    _kth_gap,
+    conditional_entropy,
+    mi_discrete,
+    rankdata,
+)
 
 LN2 = 0.6931471805599453
 H_3CAT = 1.0397207708399179          # 1.5 * ln 2
@@ -96,8 +101,9 @@ class TestEstimatorConfig:
     def test_rejects_bad_values(self):
         with pytest.raises(InsufficientSamplesError):
             EstimatorConfig(k=0)
-        with pytest.raises(DegenerateSampleError):
-            EstimatorConfig(jitter=-1.0)
+        for jitter in (-1.0, math.inf, math.nan):
+            with pytest.raises(DegenerateSampleError):
+                EstimatorConfig(jitter=jitter)
 
 
 class TestEntropyDiscrete:

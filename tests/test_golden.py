@@ -20,14 +20,13 @@ from dmig import (
     EstimatorConfig,
     SampleColumn,
     SyntheticSpec,
-    conditional_entropy,
     evaluate,
     gen_discrete_joint,
     gen_gaussian_pair,
-    mi_discrete,
     mi_profile,
     write_report,
 )
+from dmig.estimation import conditional_entropy, mi_discrete
 
 GOLDEN = Path(__file__).parent / "golden"
 CFG = EstimatorConfig()

@@ -13,9 +13,9 @@ from dmig import (
     gen_discrete_joint,
     gen_gaussian_pair,
     gen_trajectory,
-    mi_discrete,
     spearman,
 )
+from dmig.estimation import mi_discrete
 from dmig.synthetic import discrete_truth, gaussian_truth
 
 H_STD_NORMAL = 1.4189385332046727
@@ -52,6 +52,10 @@ class TestSpecValidation:
         with pytest.raises(SpecValidationError):
             SyntheticSpec(
                 family="discrete_joint", n=100, seed=0, pmf=((0.5, 0.5), (0.0,))
+            )
+        with pytest.raises(SpecValidationError):
+            SyntheticSpec(
+                family="discrete_joint", n=100, seed=0, pmf=((0.5, 0.5), (math.nan, 0.0))
             )
 
     def test_noise_schedule_checked(self):
