@@ -115,9 +115,20 @@ def _parse_pmf(text: str) -> tuple[tuple[float, ...], ...]:
         ) from None
 
 
+def _generate(gen, spec: SyntheticSpec):
+    """Run a generator; an allocation it cannot make is a usage error."""
+    try:
+        return gen(spec)
+    except MemoryError:
+        raise SpecValidationError(
+            f"--n {spec.n} samples of {spec.d_total} latent dims do not fit in memory"
+        ) from None
+
+
 def cmd_synth(args: argparse.Namespace) -> int:
+    # --out-dir is created only once every flag is checked and the data
+    # generated, so a rejected call leaves nothing behind.
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     if args.family == "trajectory":
         if args.epochs < 1:
             raise SpecValidationError(f"--epochs must be >= 1, got {args.epochs}")
@@ -132,7 +143,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
             noise_schedule=schedule,
             d_total=args.d_total,
         )
-        epochs = gen_trajectory(spec)
+        epochs = _generate(gen_trajectory, spec)
+        out_dir.mkdir(parents=True, exist_ok=True)
         width = len(str(len(epochs) - 1))
         for t, ds in epochs:
             path = out_dir / f"trajectory_epoch{t:0{width}d}.csv"
@@ -150,7 +162,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
         pmf=_parse_pmf(args.pmf) if discrete else None,
         d_total=args.d_total,
     )
-    ds, truth = (gen_discrete_joint if discrete else gen_gaussian_pair)(spec)
+    ds, truth = _generate(gen_discrete_joint if discrete else gen_gaussian_pair, spec)
+    out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / f"{args.family}.csv"
     truth_path = out_dir / f"{args.family}.truth"
     write_dataset(ds, csv_path)

@@ -4,7 +4,9 @@ Implements the estimator layer used by the metric computations:
 
 * plug-in Shannon entropy and mutual information for discrete columns,
 * Kozachenko-Leonenko kNN differential entropy for continuous columns,
-* KSG (type 1) kNN mutual information for continuous or mixed pairs,
+* the class-wise kNN mutual information of Ross (2014) for a discrete
+  column paired with a continuous one,
+* KSG (type 1) kNN mutual information for continuous pairs,
 * conditional entropy assembled from the above,
 * Spearman rank correlation.
 
@@ -13,7 +15,9 @@ deterministic, content-keyed jitter: the noise applied to a column is a
 pure function of the config seed and the column bytes, so estimates are
 reproducible, symmetric in their arguments, and safe to compute
 concurrently. Mean reductions use math.fsum, which makes results
-invariant under joint row permutations of pre-jittered data.
+invariant under joint row permutations of pre-jittered data. Every
+digamma argument is a positive integer and is evaluated exactly here;
+scipy is imported only for the kd-tree of a continuous pair.
 """
 
 from __future__ import annotations
@@ -125,16 +129,13 @@ class MIEstimate:
 
 
 def _scipy():
-    """The scipy package with spatial and special loaded, on first use.
+    """The scipy package with scipy.spatial loaded, on first use.
 
-    Importing scipy takes longer than a whole all-discrete evaluation, so
-    it waits until a kNN estimate runs. scipy.spatial imports
-    scipy.special itself; importing it first on every path keeps pool
-    threads that import at the same time in one order, so none of them
-    is handed a partly initialised module.
+    Importing scipy.spatial takes longer than a whole evaluation without
+    a continuous pair, and only the KSG estimate of a continuous pair
+    builds a kd-tree, so the import waits until one runs.
     """
     import scipy.spatial
-    import scipy.special
 
     return scipy
 
@@ -149,9 +150,47 @@ class cKDTree:
         return self._tree.query(*args, **kwargs)
 
 
-def digamma(x):
-    """scipy.special.digamma, loaded on first use."""
-    return _scipy().special.digamma(x)
+# Coefficients of the asymptotic series of cephes' psi, and its Euler
+# constant; with them digamma equals scipy.special.digamma bit for bit.
+_PSI_A = (
+    8.33333333333333333333e-2,
+    -2.10927960927960927961e-2,
+    7.57575757575757575758e-3,
+    -4.16666666666666666667e-3,
+    3.96825396825396825397e-3,
+    -8.33333333333333333333e-3,
+    8.33333333333333333333e-2,
+)
+_EULER = 0.577215664901532860606512090082402431
+
+
+def digamma(n: int) -> float:
+    """psi(n) for a positive integer n, computed as cephes' psi does.
+
+    Below 11 it is the harmonic sum H(n-1) - gamma, added left to right;
+    above, ln n - 1/(2n) - z*P(z) with z = 1/n**2 and P the seven-term
+    asymptotic series in Horner form. math.log is used because numpy's
+    vectorised log can differ from libm in the last bit.
+    """
+    if n <= 10:
+        y = 0.0
+        for i in range(1, n):
+            y += 1.0 / i
+        return y - _EULER
+    s = float(n)
+    z = 1.0 / (s * s)
+    p = _PSI_A[0]
+    for a in _PSI_A[1:]:
+        p = p * z + a
+    return math.log(s) - 0.5 / s - z * p
+
+
+def _digamma_each(counts: np.ndarray) -> np.ndarray:
+    """digamma of each positive integer count, evaluated once per distinct count."""
+    table = np.zeros(int(counts.max()) + 1)
+    for n in np.flatnonzero(np.bincount(counts)):
+        table[n] = digamma(int(n))
+    return table[counts]
 
 
 def _require_kind(col: SampleColumn, kind: Kind, op: str) -> None:
@@ -305,7 +344,8 @@ def mi_continuous_detailed(
     I = psi(k) + psi(N) - mean_i[psi(nx_i + 1) + psi(ny_i + 1)], where
     eps_i is the Chebyshev distance to the k-th joint neighbor and nx_i,
     ny_i count marginal neighbors strictly inside eps_i. Discrete codes
-    are admitted here by jittering them into continuous treatment. The
+    are admitted here by jittering them into continuous treatment, but a
+    pair with one discrete column is better served by mi_classwise. The
     raw estimate may be slightly negative; metric consumers clamp it.
     """
     n = _require_aligned(x, y)
@@ -323,8 +363,59 @@ def mi_continuous_detailed(
     nx = _count_within(px, eps)
     ny = _count_within(py, eps)
 
-    mean_psi = math.fsum(digamma(nx + 1.0) + digamma(ny + 1.0)) / n
-    value = float(digamma(cfg.k) + digamma(n) - mean_psi)
+    mean_psi = math.fsum(_digamma_each(nx + 1) + _digamma_each(ny + 1)) / n
+    value = digamma(cfg.k) + digamma(n) - mean_psi
+    return MIEstimate(value=value, deterministic_relation=bool(np.any(eps == 0.0)))
+
+
+def mi_classwise(
+    x: SampleColumn, y: SampleColumn, cfg: EstimatorConfig
+) -> MIEstimate:
+    """Mutual information of a discrete and a continuous column, in nats.
+
+    The class-wise kNN estimator of Ross 2014 (PLoS ONE 9(2): e87357):
+
+        I = psi(N) - mean_i psi(N_c) + psi(k) - mean_i psi(m_i),
+
+    where d_i is the distance from point i to its k-th nearest neighbour
+    within its own class c of the continuous column, m_i counts the points
+    of the whole column strictly within d_i, i itself included, and N_c is
+    the size of class c. Small classes follow scikit-learn's
+    _compute_mi_cd: singleton classes are dropped, so N counts the other
+    points, and a class uses k_c = min(k, N_c - 1) neighbours, psi(k)
+    becoming the mean of psi(k_c). The continuous column is jittered as in
+    KSG; the discrete one is not, and no kd-tree is built. Only the
+    continuous column carries units, so the estimate does not depend on
+    them. Where KSG's k joint neighbours of every point lie in the point's
+    own class, KSG counts the same N_c and m_i up to its jitter of the
+    codes, and the reduction runs in KSG's order, so the two mostly agree
+    bit for bit.
+    """
+    _require_samples(_require_aligned(x, y), cfg.k)
+    codes, cont = (x, y) if x.kind == DISCRETE else (y, x)
+    _require_kind(codes, DISCRETE, "mi_classwise")
+    _require_kind(cont, CONTINUOUS, "mi_classwise")
+    pts = _jittered(cont, cfg)
+    order = np.lexsort((pts, codes.values))
+    ordered = codes.values[order]
+    bounds = np.flatnonzero(ordered[1:] != ordered[:-1]) + 1
+    classes = [c for c in np.split(pts[order], bounds) if c.size > 1]
+    if not classes:
+        raise DegenerateSampleError("class-wise MI needs a class of at least 2 samples")
+    sizes = np.array([c.size for c in classes])
+    ks = np.minimum(cfg.k, sizes - 1)
+    # Each class is in value order, the order of _kth_gap's radii, so
+    # values and eps stay row-aligned.
+    values = np.concatenate(classes)
+    eps = np.concatenate([_kth_gap(c, int(k)) for c, k in zip(classes, ks)])
+    m = _count_within(values, eps) + 1
+    n = values.size
+    if ks.min() == cfg.k:
+        psi_k = digamma(cfg.k)
+    else:
+        psi_k = math.fsum(sizes * _digamma_each(ks)) / n
+    mean_psi = math.fsum(_digamma_each(np.repeat(sizes, sizes)) + _digamma_each(m)) / n
+    value = psi_k + digamma(n) - mean_psi
     return MIEstimate(value=value, deterministic_relation=bool(np.any(eps == 0.0)))
 
 
@@ -350,8 +441,8 @@ def conditional_entropy(
 
     Discrete pairs use the exact identity H(a,b) - H(b) on the joint
     table. Any pair involving a continuous column uses H(a) - I(a; b)
-    with the kNN estimators, so the result may be negative when a is
-    continuous.
+    with the kNN estimators, class-wise for a mixed pair and KSG for a
+    continuous one, so the result may be negative when a is continuous.
     """
     _require_aligned(a, b)
     if a.kind == DISCRETE and b.kind == DISCRETE:
@@ -360,7 +451,8 @@ def conditional_entropy(
         h_a = entropy_discrete(a)
     else:
         h_a = entropy_continuous(a, cfg)
-    return h_a - mi_continuous_detailed(a, b, cfg).value
+    mi = mi_continuous_detailed if a.kind == b.kind else mi_classwise
+    return h_a - mi(a, b, cfg).value
 
 
 def rankdata(values: np.ndarray) -> tuple[np.ndarray, int]:

@@ -43,6 +43,7 @@ from .estimation import (
     _joint_entropy_discrete,
     entropy_continuous,
     entropy_discrete,
+    mi_classwise,
     mi_continuous_detailed,
     spearman,
 )
@@ -178,8 +179,8 @@ class Dataset:
 class MIProfile:
     """All estimated information quantities a metric pass needs.
 
-    mi is clamped at zero from below; mi_raw keeps the uncorrected KSG
-    values for diagnostics. h_cond[i][j] is H(a_i | a_j); the diagonal is
+    mi is clamped at zero from below; mi_raw keeps the unclamped
+    estimates for diagnostics. h_cond[i][j] is H(a_i | a_j); the diagonal is
     unused and left at zero.
     """
 
@@ -220,10 +221,14 @@ def _entropy_cell(col: SampleColumn, cfg: EstimatorConfig) -> float:
 
 
 def _pair_cell(x: SampleColumn, y: SampleColumn, cfg: EstimatorConfig) -> tuple[bool, float]:
-    """(True, H(x, y)) for a discrete pair, otherwise (False, KSG I(x; y))."""
+    """(True, H(x, y)) for a discrete pair, otherwise (False, I(x; y)).
+
+    I(x; y) is class-wise when exactly one column is discrete, else KSG.
+    """
     if x.kind == DISCRETE and y.kind == DISCRETE:
         return True, _joint_entropy_discrete(x, y)
-    return False, mi_continuous_detailed(x, y, cfg).value
+    mi = mi_continuous_detailed if x.kind == y.kind else mi_classwise
+    return False, mi(x, y, cfg).value
 
 
 def _pair_info(cell: tuple[bool, float], h_x: float, h_y: float | None) -> tuple[float, float]:
@@ -252,8 +257,8 @@ def mi_profile(ds: Dataset, cfg: EstimatorConfig, workers: int = 1) -> MIProfile
 
     Each cell is estimated once: the entropy of every attribute and every
     discrete latent, and one _pair_cell per (attribute, latent) pair and
-    per unordered attribute pair. KSG is symmetric bit for bit, so mi_raw
-    equals mi_discrete on discrete cells and h_cond equals
+    per unordered attribute pair. The kNN estimators are symmetric bit for
+    bit, so mi_raw equals mi_discrete on discrete cells and h_cond equals
     conditional_entropy exactly. With workers > 1 the cells run in a
     thread pool; each is a pure function of its inputs, so concurrent
     results equal serial ones exactly.

@@ -36,7 +36,7 @@ _LEFT, _RIGHT, _TOP, _BOTTOM = 70, 160, 40, 50
 
 @dataclass(frozen=True)
 class PlotSpec:
-    """What to plot: metric on each axis, optional ranges."""
+    """What to plot: metric on each axis, optional finite ranges."""
 
     x_metric: str
     y_metric: str
@@ -52,7 +52,11 @@ class PlotSpec:
         if self.x_metric == self.y_metric:
             raise SpecValidationError("x_metric and y_metric must differ")
         for rng, label in ((self.x_range, "x_range"), (self.y_range, "y_range")):
-            if rng is not None and not (rng[0] < rng[1]):
+            if rng is None:
+                continue
+            if not all(math.isfinite(v) for v in rng):
+                raise SpecValidationError(f"{label} must be finite, got {rng}")
+            if not rng[0] < rng[1]:
                 raise SpecValidationError(f"{label} must satisfy lo < hi")
 
 

@@ -114,10 +114,33 @@ class TestSynth:
         ],
     )
     def test_invalid_flag_value_is_usage_error(self, tmp_path, capsys, flags):
-        assert main(["synth", "--n", "50", "--out-dir", str(tmp_path), *flags]) == 2
+        # The flags are checked before --out-dir and its parents are made.
+        out_dir = tmp_path / "new" / "sub"
+        assert main(["synth", "--n", "50", "--out-dir", str(out_dir), *flags]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize(
+        "family, generator", [("gaussian_pair", "gen_gaussian_pair"),
+                              ("trajectory", "gen_trajectory")]
+    )
+    def test_unallocatable_sample_count_is_usage_error(
+        self, tmp_path, capsys, monkeypatch, family, generator
+    ):
+        # A huge --n fails in the generator's first allocation; stand in
+        # for it rather than ask for the memory.
+        def too_big(spec):
+            raise MemoryError
+
+        monkeypatch.setattr(f"dmig.cli.{generator}", too_big)
+        out_dir = tmp_path / "new"
+        args = ["synth", "--family", family, "--n", "100000000000",
+                "--out-dir", str(out_dir)]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --n 100000000000 samples") and err.count("\n") == 1
+        assert not out_dir.exists()
 
     def test_trajectory_writes_epoch_files(self, tmp_path):
         args = ["synth", "--family", "trajectory", "--n", "50", "--epochs", "4",
@@ -204,6 +227,18 @@ class TestPlot:
             main(["plot", str(series), "--x", "scc", "--y", "dmig", "--x-range", "3"])
         assert exc.value.code == 2
         assert "expected 'lo:hi'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--y-range", "--x-range"])
+    def test_infinite_range_is_usage_error(self, tmp_path, capsys, flag):
+        series = self.make_series(tmp_path)
+        capsys.readouterr()
+        out = tmp_path / "inf.svg"
+        args = ["plot", str(series), "--x", "mig", "--y", "dmig", flag, "0:inf"]
+        assert main([*args, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "must be finite" in err
+        assert err.count("\n") == 1
+        assert not out.exists()
 
     def test_same_axis_rejected(self, tmp_path):
         series = self.make_series(tmp_path)

@@ -12,10 +12,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial import cKDTree
+from scipy.special import digamma as scipy_digamma
 from scipy.stats import rankdata as scipy_rankdata
 
 from dmig import (
     AlignmentError,
+    Dataset,
     DegenerateSampleError,
     EstimatorConfig,
     InsufficientSamplesError,
@@ -26,13 +28,17 @@ from dmig import (
     entropy_continuous,
     entropy_discrete,
     mi_continuous_detailed,
+    mi_profile,
     spearman,
 )
 from dmig.estimation import (
     _count_within,
+    _digamma_each,
     _jittered,
     _kth_gap,
     conditional_entropy,
+    digamma,
+    mi_classwise,
     mi_discrete,
     rankdata,
 )
@@ -210,6 +216,104 @@ class TestMiContinuous:
             vals.append(mi_continuous_detailed(x, y, CFG).value)
         assert all(v >= -0.05 for v in vals)
         assert abs(sum(vals) / len(vals)) <= 0.02
+
+
+def mixture_mi(levels, sigma):
+    """I(a; a + sigma*eps) for a uniform on levels and standard normal eps,
+    as h(z) - h(z | a) with h(z) by trapezoid quadrature."""
+    grid = np.linspace(min(levels) - 12 * sigma, max(levels) + 12 * sigma, 400_001)
+    dens = sum(np.exp(-0.5 * ((grid - v) / sigma) ** 2) for v in levels)
+    dens /= len(levels) * sigma * math.sqrt(2 * math.pi)
+    h_z = -np.trapezoid(dens * np.log(dens), grid)
+    return h_z - 0.5 * math.log(2 * math.pi * math.e * sigma**2)
+
+
+def classwise_reference(codes, z, k):
+    """Ross 2014 with scikit-learn's small-class rule, by brute force."""
+    labels, sizes = np.unique(codes, return_counts=True)
+    size = dict(zip(labels, sizes))
+    keep = [i for i in range(codes.size) if size[codes[i]] > 1]
+    terms = []
+    for i in keep:
+        same = sorted(abs(z[j] - z[i]) for j in keep if j != i and codes[j] == codes[i])
+        k_c = min(k, len(same))
+        m = sum(1 for j in keep if abs(z[j] - z[i]) < same[k_c - 1])
+        terms.append((scipy_digamma(k_c), scipy_digamma(size[codes[i]]), scipy_digamma(m)))
+    psi_k, psi_nc, psi_m = np.mean(terms, axis=0)
+    return scipy_digamma(len(keep)) + psi_k - psi_nc - psi_m
+
+
+class TestMiClasswise:
+    @pytest.mark.parametrize("sigma", [1.0, 0.3, 0.1])
+    def test_closed_form_at_three_scales(self, sigma):
+        # KSG read 0.41 nats at z * 1000 for sigma = 1; the class-wise
+        # cell is the same float at every scale of z.
+        rng = np.random.default_rng(10)
+        a = rng.integers(0, 5, 8000).astype(float)
+        z = a + sigma * rng.standard_normal(8000)
+        ds = Dataset(
+            latents=np.column_stack([z * 1e-3, z, z * 1e3]), attributes=(disc(a),)
+        )
+        row = mi_profile(ds, CFG).mi_raw[0]
+        assert np.ptp(row) <= 1e-12
+        assert row[1] == pytest.approx(mixture_mi(range(5), sigma), abs=0.03)
+        assert row[1] == mi_classwise(cont(z), disc(a), CFG).value
+
+    def test_equals_ksg_when_neighbours_stay_in_class(self):
+        rng = np.random.default_rng(11)
+        a = disc(rng.integers(0, 3, 2000))
+        z = cont(a.values + 0.05 * rng.standard_normal(2000))
+        assert mi_classwise(a, z, CFG) == mi_continuous_detailed(a, z, CFG)
+
+    def test_singleton_class_dropped(self):
+        rng = np.random.default_rng(12)
+        codes = rng.integers(0, 3, 60).astype(float)
+        z = codes + rng.standard_normal(60)
+        codes[17] = 9.0
+        rest = np.arange(60) != 17
+        cfg = EstimatorConfig(jitter=0.0)
+        est = mi_classwise(disc(codes), cont(z), cfg).value
+        assert est == mi_classwise(disc(codes[rest]), cont(z[rest]), cfg).value
+        assert est == pytest.approx(classwise_reference(codes, z, cfg.k), abs=1e-12)
+
+    @pytest.mark.parametrize("small", [2, 3])
+    def test_class_at_most_k_uses_fewer_neighbours(self, small):
+        # With k = 3, a class of N_c <= k uses k_c = N_c - 1.
+        rng = np.random.default_rng(13)
+        codes = np.concatenate([np.zeros(small), rng.integers(1, 3, 50)])
+        z = codes + rng.standard_normal(codes.size)
+        cfg = EstimatorConfig(jitter=0.0)
+        est = mi_classwise(disc(codes), cont(z), cfg).value
+        assert est == pytest.approx(classwise_reference(codes, z, cfg.k), abs=1e-12)
+
+    def test_deterministic_relation_on_coincident_class(self):
+        codes = disc([0, 1] * 20)
+        z = cont(np.repeat([0.0, 1.0, 2.0, 3.0], 10))
+        est = mi_classwise(codes, z, EstimatorConfig(jitter=0.0))
+        assert est.deterministic_relation and math.isfinite(est.value)
+
+    @pytest.mark.parametrize(
+        "x, y, error",
+        [
+            (disc(range(8)), cont(range(8)), DegenerateSampleError),
+            (cont(range(8)), cont(range(8)), KindMismatchError),
+            (disc(range(8)), disc(range(8)), KindMismatchError),
+        ],
+    )
+    def test_rejects_unusable_pairs(self, x, y, error):
+        with pytest.raises(error):
+            mi_classwise(x, y, CFG)
+
+
+class TestDigamma:
+    def test_equals_scipy_on_every_count_to_2e5(self):
+        n = np.arange(1, 200_001)
+        assert np.array_equal(_digamma_each(n), scipy_digamma(n.astype(float)))
+
+    def test_equals_scipy_at_spot_values_to_1e6(self):
+        spots = np.random.default_rng(14).integers(200_001, 10**6, 2000)
+        for n in [*spots.tolist(), 10**6]:
+            assert digamma(n) == scipy_digamma(float(n)), n
 
 
 def kdtree_counts(values, eps):

@@ -197,11 +197,13 @@ class TestMiProfile:
         assert ds.latent_kinds == ("discrete", "discrete", "continuous", "continuous")
 
         calls = {"entropy": [], "pair": [], "mi_discrete": []}
+        routed = Counter()
 
         def counted(fn, kind):
             def wrapper(*args, **kwargs):
                 cols = [a.values.tobytes() for a in args if isinstance(a, SampleColumn)]
                 calls[kind].append(cols[0] if kind == "entropy" else frozenset(cols))
+                routed[fn.__name__] += 1
                 return fn(*args, **kwargs)
 
             return wrapper
@@ -211,6 +213,7 @@ class TestMiProfile:
             ("entropy_continuous", "entropy"),
             ("_joint_entropy_discrete", "pair"),
             ("mi_continuous_detailed", "pair"),
+            ("mi_classwise", "pair"),
             ("mi_discrete", "mi_discrete"),
         ):
             wrapper = counted(getattr(estimation, name), kind)
@@ -226,6 +229,10 @@ class TestMiProfile:
         pairs += [frozenset({key[i], key[j]}) for i in range(3) for j in range(i + 1, 3)]
         assert Counter(calls["pair"]) == Counter(pairs)
         assert len(set(pairs)) == len(pairs) == 15
+        # Exactly one discrete column routes a pair to the class-wise cell.
+        assert routed["_joint_entropy_discrete"] == 5
+        assert routed["mi_continuous_detailed"] == 2
+        assert routed["mi_classwise"] == 8
         assert calls["mi_discrete"] == []
 
 

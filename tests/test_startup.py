@@ -1,8 +1,9 @@
 """What a fresh interpreter loads when it imports or runs dmig.
 
-scipy is imported only when a kNN estimate runs, so importing the
-package and evaluating an all-discrete dataset load no scipy module.
-Each test starts its own interpreter, since this one has scipy loaded.
+scipy is imported only for the kd-tree of a continuous pair, so
+importing the package and evaluating a dataset whose pairs each hold a
+discrete column load no scipy module. Each test starts its own
+interpreter, since this one has scipy loaded.
 """
 
 import json
@@ -10,6 +11,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 from dmig import SyntheticSpec, gen_discrete_joint, write_dataset
 from test_golden import DATASETS, GOLDEN, PMF
@@ -48,11 +51,21 @@ def test_all_discrete_eval_loads_no_scipy(tmp_path):
     assert scipy_modules_after(eval_code(path)) == []
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_discrete_attribute_continuous_latent_eval_loads_no_scipy(tmp_path, workers):
+    # Discrete attributes read through continuous latents: every cell is
+    # plug-in or class-wise, and the report must still match its golden.
+    path, out = tmp_path / "noisy_discrete.csv", tmp_path / "out.report"
+    write_dataset(DATASETS["noisy_discrete"](), path)
+    assert scipy_modules_after(eval_code(path, "--workers", workers, "--out", out)) == []
+    assert out.read_bytes() == (GOLDEN / "noisy_discrete.report").read_bytes()
+
+
 def test_first_scipy_import_in_pool_threads(tmp_path):
     # Nothing loads scipy before the --workers 2 pool starts, so its
     # threads race to import it; the report must still match its golden.
     path, out = tmp_path / "continuous_m3.csv", tmp_path / "out.report"
     write_dataset(DATASETS["continuous_m3"](), path)
     loaded = scipy_modules_after(eval_code(path, "--workers", "2", "--out", out))
-    assert "scipy.spatial" in loaded and "scipy.special" in loaded
+    assert "scipy.spatial" in loaded
     assert out.read_bytes() == (GOLDEN / "continuous_m3.report").read_bytes()
