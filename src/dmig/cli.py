@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .dataio import (
+    _ATTRIBUTE_FIELDS,
     _dim_token,
     format_float,
     read_dataset,
@@ -56,12 +57,12 @@ def _print_report(report: MetricReport, heading: str | None = None) -> None:
         f"{'attribute':<14}{'mig':>10}{'dmig':>10}{'scc':>10}  "
         f"{'branch':<14}{'top':>5}{'runner':>8}{'denominator':>13}  flags"
     )
+    write_flags = _ATTRIBUTE_FIELDS["flags"][0]
     for a in report.per_attribute:
-        flags = ",".join(sorted(a.flags)) if a.flags else "-"
         print(
             f"{'a' + a.name:<14}{_cell(a.mig):>10}{_cell(a.dmig):>10}{_cell(a.scc):>10}  "
             f"{a.branch:<14}{_dim_token(a.top_dim):>5}{_dim_token(a.runner_up_dim):>8}"
-            f"{_cell(a.denominator):>13}  {flags}"
+            f"{_cell(a.denominator):>13}  {write_flags(a.flags)}"
         )
     print(f"{'mean':<14}{_cell(report.mean_mig):>10}{_cell(report.mean_dmig):>10}")
 
@@ -129,46 +130,44 @@ def cmd_synth(args: argparse.Namespace) -> int:
     # --out-dir is created only once every flag is checked and the data
     # generated, so a rejected call leaves nothing behind.
     out_dir = Path(args.out_dir)
-    if args.family == "trajectory":
+    family = args.family
+    schedule = None
+    if family == "trajectory":
         if args.epochs < 1:
             raise SpecValidationError(f"--epochs must be >= 1, got {args.epochs}")
         if not all(0.0 < s < math.inf for s in (args.noise_start, args.noise_end)):
             raise SpecValidationError("--noise-start and --noise-end must be finite and > 0")
         schedule = tuple(np.geomspace(args.noise_start, args.noise_end, args.epochs))
-        spec = SyntheticSpec(
-            family="trajectory",
-            n=args.n,
-            seed=args.seed,
-            rho=args.rho,
-            noise_schedule=schedule,
-            d_total=args.d_total,
-        )
-        epochs = _generate(gen_trajectory, spec)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        width = len(str(len(epochs) - 1))
-        for t, ds in epochs:
-            path = out_dir / f"trajectory_epoch{t:0{width}d}.csv"
-            write_dataset(ds, path)
-        truth_path = out_dir / "trajectory.truth"
-        write_truth("trajectory", gaussian_truth(args.rho), truth_path)
-        print(f"wrote {len(epochs)} epoch datasets and {truth_path} to {out_dir}")
-        return 0
-    discrete = args.family == "discrete_joint"
     spec = SyntheticSpec(
-        family=args.family,
+        family=family,
         n=args.n,
         seed=args.seed,
         rho=args.rho,
-        pmf=_parse_pmf(args.pmf) if discrete else None,
+        pmf=_parse_pmf(args.pmf) if family == "discrete_joint" else None,
+        noise_schedule=schedule,
         d_total=args.d_total,
     )
-    ds, truth = _generate(gen_discrete_joint if discrete else gen_gaussian_pair, spec)
+    gen = {
+        "gaussian_pair": gen_gaussian_pair,
+        "discrete_joint": gen_discrete_joint,
+        "trajectory": gen_trajectory,
+    }[family]
+    generated = _generate(gen, spec)
+    truth_path = out_dir / f"{family}.truth"
+    if family == "trajectory":
+        width = len(str(len(generated) - 1))
+        files = [(out_dir / f"trajectory_epoch{t:0{width}d}.csv", ds) for t, ds in generated]
+        truth = gaussian_truth(args.rho)
+        done = f"wrote {len(files)} epoch datasets and {truth_path} to {out_dir}"
+    else:
+        ds, truth = generated
+        files = [(out_dir / f"{family}.csv", ds)]
+        done = f"wrote {files[0][0]} and {truth_path}"
     out_dir.mkdir(parents=True, exist_ok=True)
-    csv_path = out_dir / f"{args.family}.csv"
-    truth_path = out_dir / f"{args.family}.truth"
-    write_dataset(ds, csv_path)
-    write_truth(args.family, truth, truth_path)
-    print(f"wrote {csv_path} and {truth_path}")
+    for path, ds in files:
+        write_dataset(ds, path)
+    write_truth(family, truth, truth_path)
+    print(done)
     return 0
 
 
@@ -355,10 +354,7 @@ def main(argv: list[str] | None = None) -> int:
     except FileNotFoundError as exc:
         print(f"error: file not found: {exc.filename}", file=sys.stderr)
         return 2
-    except (FileFormatError, SpecValidationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (FileFormatError, SpecValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except DmigError as exc:

@@ -27,16 +27,7 @@ import numpy as np
 
 from .errors import DmigError, FileFormatError
 from .estimation import CONTINUOUS, DISCRETE, EstimatorConfig, SampleColumn
-from .metrics import (
-    FLAG_DMIG_ABOVE_ONE,
-    FLAG_NEAR_ZERO_DENOMINATOR,
-    FLAG_NEGATIVE_DENOMINATOR,
-    FLAG_REGULARIZATION_FAILURE,
-    AttributeMetrics,
-    Branch,
-    Dataset,
-    MetricReport,
-)
+from .metrics import _FLAGS, AttributeMetrics, Branch, Dataset, MetricReport
 from .synthetic import GroundTruth
 
 __all__ = [
@@ -54,15 +45,6 @@ FORMAT_LINE = "#format v1"
 
 _KIND_TO_TOKEN = {CONTINUOUS: "cont", DISCRETE: "disc"}
 _TOKEN_TO_KIND = {"cont": CONTINUOUS, "disc": DISCRETE}
-
-_FLAGS = frozenset(
-    {
-        FLAG_DMIG_ABOVE_ONE,
-        FLAG_NEAR_ZERO_DENOMINATOR,
-        FLAG_NEGATIVE_DENOMINATOR,
-        FLAG_REGULARIZATION_FAILURE,
-    }
-)
 
 _Z_TOKEN = re.compile(r"^z([1-9][0-9]*)$")
 _MAP_LINE = re.compile(r"^#map a(.+) -> z([1-9][0-9]*)$")
@@ -165,15 +147,15 @@ def write_dataset(ds: Dataset, path: str | Path) -> None:
 def read_dataset(path: str | Path) -> Dataset:
     path, lines, idx = _read(path, "dataset")
 
-    mapping: dict[str, int] = {}
+    mapping: dict[str, tuple[int, int]] = {}  # name -> (latent index, line number)
     while idx < len(lines) and lines[idx].startswith("#"):
         m = _MAP_LINE.match(lines[idx])
         if not m:
             raise FileFormatError(f"{path}:{idx + 1}: malformed map line {lines[idx]!r}")
-        name, z = m.group(1), int(m.group(2))
+        name = m.group(1)
         if name in mapping:
             raise FileFormatError(f"{path}:{idx + 1}: duplicate map for a{name}")
-        mapping[name] = z - 1
+        mapping[name] = (int(m.group(2)) - 1, idx + 1)
         idx += 1
     if idx >= len(lines):
         raise FileFormatError(f"{path}: missing header row")
@@ -211,6 +193,21 @@ def read_dataset(path: str | Path) -> Dataset:
     names = [name for name, _, _ in attr_cols]
     if len(set(names)) != len(names):
         raise FileFormatError(f"{path}:{header_lineno}: duplicate attribute names")
+    if len(names) > d:
+        raise FileFormatError(f"{path}:{header_lineno}: {len(names)} attributes exceed D={d}")
+    if len(lines) - header_lineno < 2:
+        raise FileFormatError(f"{path}:{header_lineno}: a dataset needs at least 2 body rows")
+    # Unmapped attributes keep their own index; a later claim of a taken
+    # latent is the map line at fault.
+    taken = {i for i, name in enumerate(names) if name not in mapping}
+    for name, (j, lineno) in mapping.items():
+        if name not in names:
+            raise FileFormatError(f"{path}:{lineno}: map references unknown attribute a{name}")
+        if j >= d:
+            raise FileFormatError(f"{path}:{lineno}: map target z{j + 1} beyond z{d}")
+        if j in taken:
+            raise FileFormatError(f"{path}:{lineno}: z{j + 1} is mapped to two attributes")
+        taken.add(j)
 
     values: list[float] = []
     width = len(tokens)
@@ -234,27 +231,23 @@ def read_dataset(path: str | Path) -> Dataset:
         r = int(np.argmin(finite.all(axis=1)))
         bad = table[r][~finite[r]][0]
         raise FileFormatError(f"{path}:{header_lineno + 1 + r}: non-finite value {bad}")
+    for name, kind, c in attr_cols:
+        col = table[:, c]
+        if kind == DISCRETE and not np.array_equal(col, np.floor(col)):
+            r = int(np.argmax(col != np.floor(col)))
+            raise FileFormatError(
+                f"{path}:{header_lineno + 1 + r}: non-integer code {format_float(col[r])} "
+                f"in a{name}:disc"
+            )
 
-    for name in mapping:
-        if name not in names:
-            raise FileFormatError(f"{path}: map references unknown attribute a{name}")
-    reg = tuple(
-        mapping.get(name, i) for i, name in enumerate(names)
+    # Every check of Dataset and SampleColumn has been made above, with a line.
+    reg = tuple(mapping[name][0] if name in mapping else i for i, name in enumerate(names))
+    return Dataset(
+        latents=table[:, [z_cols[k] for k in range(1, d + 1)]],
+        attributes=tuple(SampleColumn(table[:, c], kind=kind) for _, kind, c in attr_cols),
+        regularized_map=reg,
+        names=tuple(names),
     )
-
-    try:
-        latents = table[:, [z_cols[k] for k in range(1, d + 1)]]
-        attributes = tuple(
-            SampleColumn(table[:, c], kind=kind) for _, kind, c in attr_cols
-        )
-        return Dataset(
-            latents=latents,
-            attributes=attributes,
-            regularized_map=reg,
-            names=tuple(names),
-        )
-    except DmigError as exc:
-        raise FileFormatError(f"{path}: invalid dataset: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

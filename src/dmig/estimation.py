@@ -128,23 +128,18 @@ class MIEstimate:
     deterministic_relation: bool
 
 
-def _scipy():
-    """The scipy package with scipy.spatial loaded, on first use.
+class cKDTree:
+    """scipy's kd-tree over the rows of data, loaded on first use.
 
     Importing scipy.spatial takes longer than a whole evaluation without
     a continuous pair, and only the KSG estimate of a continuous pair
     builds a kd-tree, so the import waits until one runs.
     """
-    import scipy.spatial
-
-    return scipy
-
-
-class cKDTree:
-    """scipy's kd-tree over the rows of data, loaded on first use."""
 
     def __init__(self, data: np.ndarray) -> None:
-        self._tree = _scipy().spatial.cKDTree(data)
+        import scipy.spatial
+
+        self._tree = scipy.spatial.cKDTree(data)
 
     def query(self, *args, **kwargs):
         return self._tree.query(*args, **kwargs)

@@ -68,6 +68,10 @@ FLAG_REGULARIZATION_FAILURE = "regularization_failure"
 FLAG_NEAR_ZERO_DENOMINATOR = "near_zero_denominator"
 FLAG_NEGATIVE_DENOMINATOR = "negative_denominator"
 FLAG_DMIG_ABOVE_ONE = "dmig_above_one"
+_FLAGS = frozenset(
+    {FLAG_REGULARIZATION_FAILURE, FLAG_NEAR_ZERO_DENOMINATOR,
+     FLAG_NEGATIVE_DENOMINATOR, FLAG_DMIG_ABOVE_ONE}
+)
 
 # Attribute entropies at or below EPS_ENTROPY make the normalization
 # undefined and are rejected; |denominator| below EPS_DENOMINATOR trips
@@ -179,9 +183,10 @@ class Dataset:
 class MIProfile:
     """All estimated information quantities a metric pass needs.
 
-    mi is clamped at zero from below; mi_raw keeps the unclamped
-    estimates for diagnostics. h_cond[i][j] is H(a_i | a_j); the diagonal is
-    unused and left at zero.
+    mi is clamped at zero from below; mi_raw keeps the unclamped kNN
+    estimates for diagnostics. Its discrete x discrete cells are plug-in
+    estimates, clamped at zero there too, as in mi_discrete. h_cond[i][j]
+    is H(a_i | a_j); the diagonal is unused and left at zero.
     """
 
     mi: np.ndarray
@@ -407,13 +412,9 @@ def evaluate(ds: Dataset, cfg: EstimatorConfig, workers: int = 1) -> MetricRepor
     per = []
     for i in range(ds.m):
         am = compute_dmig(i, profile, ds.regularized_map, name=ds.names[i])
-        try:
-            scc = spearman(ds.attributes[i], ds.latent_column(ds.regularized_map[i]))
-        except DmigError as exc:
-            raise MetricComputationError(
-                f"SCC failed for attribute '{ds.names[i]}' (index {i}): {exc}"
-            ) from exc
-        per.append(replace(am, scc=scc))
+        context = f"SCC failed for attribute '{ds.names[i]}' (index {i})"
+        pair = (ds.attributes[i], ds.latent_column(ds.regularized_map[i]))
+        per.append(replace(am, scc=_run_cell((context, spearman, pair))))
     mean_mig = _mean([a.mig for a in per])
     mean_dmig = _mean([a.dmig for a in per])
     return MetricReport(

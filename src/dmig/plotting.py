@@ -82,27 +82,26 @@ def render_series_scatter(
         raise SpecValidationError(
             f"plotting needs a series with >= 2 epochs, got {len(series)}"
         )
-    names = [a.name if a.name is not None else str(i + 1)
-             for i, a in enumerate(series[0][1].per_attribute)]
-    m = len(names)
 
     def metric(rec, which: str) -> float:
         v = getattr(rec, which)
         return math.nan if v is None else float(v)
 
-    pts: list[list[tuple[float, float]]] = [[] for _ in range(m)]
+    # Each attribute's points, keyed by name in first-seen order.
+    pts: dict[str, list[tuple[float, float]]] = {}
     skipped = 0
     for _, report in series:
-        for i, rec in enumerate(report.per_attribute[:m]):
+        for rec in report.per_attribute:
             x = metric(rec, spec.x_metric)
             y = metric(rec, spec.y_metric)
+            attr_pts = pts.setdefault(rec.name, [])
             if math.isfinite(x) and math.isfinite(y):
-                pts[i].append((x, y))
+                attr_pts.append((x, y))
             else:
                 skipped += 1
 
-    xs = [p[0] for series_pts in pts for p in series_pts]
-    ys = [p[1] for series_pts in pts for p in series_pts]
+    xs = [p[0] for series_pts in pts.values() for p in series_pts]
+    ys = [p[1] for series_pts in pts.values() for p in series_pts]
     x_lo, x_hi = spec.x_range if spec.x_range else _auto_range(xs)
     y_lo, y_hi = spec.y_range if spec.y_range else _auto_range(ys)
 
@@ -177,9 +176,9 @@ def render_series_scatter(
             f'text-anchor="end" font-family="sans-serif" fill="#555555">y=1</text>'
         )
 
-    for i in range(m):
+    for i, attr_pts in enumerate(pts.values()):
         color = PALETTE[i % len(PALETTE)]
-        for x, y in pts[i]:
+        for x, y in attr_pts:
             out.append(
                 f'<circle cx="{_fmt(sx(x))}" cy="{_fmt(sy(y))}" r="4" '
                 f'fill="{color}" fill-opacity="0.8"/>'
@@ -187,7 +186,7 @@ def render_series_scatter(
 
     # legend
     lx = _LEFT + px_w + 18
-    for i, name in enumerate(names):
+    for i, name in enumerate(pts):
         color = PALETTE[i % len(PALETTE)]
         ly = _TOP + 10 + 20 * i
         out.append(

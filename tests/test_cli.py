@@ -7,6 +7,7 @@ import pytest
 
 from dmig import Dataset, SampleColumn, gaussian_truth, write_dataset, write_truth
 from dmig.cli import main
+from test_golden import GOLDEN
 
 
 def ideal_binary(tmp_path, name="d.csv", permuted=False):
@@ -207,6 +208,20 @@ class TestPlot:
         out = tmp_path / "traj.series"
         assert main(["eval", *datasets, "--out", str(out)]) == 0
         return out
+
+    @pytest.mark.parametrize(
+        "golden, flags",
+        [
+            ("traj_mig_dmig.svg", ["--x", "mig", "--y", "dmig"]),
+            ("traj_scc_dmig_y0-2.svg", ["--x", "scc", "--y", "dmig", "--y-range", "0:2"]),
+        ],
+    )
+    def test_svg_bytes_frozen(self, tmp_path, golden, flags):
+        # The golden SVGs were written by these same synth, eval and plot calls.
+        series = self.make_series(tmp_path)
+        out = tmp_path / golden
+        assert main(["plot", str(series), *flags, "--out", str(out)]) == 0
+        assert out.read_bytes() == (GOLDEN / golden).read_bytes()
 
     def test_scatter_written(self, tmp_path):
         series = self.make_series(tmp_path)

@@ -266,20 +266,20 @@ class TestDatasetErrors:
 
     def test_map_to_unknown_attribute(self, tmp_path):
         def mutate(ls):
-            i = next(k for k, l in enumerate(ls) if l.startswith("#map"))
-            ls[i] = "#map aghost -> z1"
+            assert ls[2].startswith("#map")
+            ls[2] = "#map aghost -> z1"
 
         p = self.write_and_break(tmp_path, mutate)
-        with pytest.raises(FileFormatError):
+        with pytest.raises(FileFormatError, match=r"d\.csv:3: .*unknown attribute aghost"):
             read_dataset(p)
 
     def test_map_out_of_range(self, tmp_path):
         def mutate(ls):
-            i = next(k for k, l in enumerate(ls) if l.startswith("#map"))
-            ls[i] = ls[i].split(" -> ")[0] + " -> z9"
+            assert ls[2].startswith("#map")
+            ls[2] = ls[2].split(" -> ")[0] + " -> z9"
 
         p = self.write_and_break(tmp_path, mutate)
-        with pytest.raises(FileFormatError):
+        with pytest.raises(FileFormatError, match=r"d\.csv:3: .*z9"):
             read_dataset(p)
 
     def test_non_injective_map(self, tmp_path):
@@ -290,7 +290,31 @@ class TestDatasetErrors:
         maps = [k for k, l in enumerate(lines) if l.startswith("#map")]
         lines[maps[1]] = lines[maps[1]].split(" -> ")[0] + lines[maps[0]][lines[maps[0]].index(" -> "):]
         p.write_text("\n".join(lines) + "\n")
-        with pytest.raises(FileFormatError):
+        # The second map line claims the latent the first one took.
+        with pytest.raises(FileFormatError, match=rf"d\.csv:{maps[1] + 1}: "):
+            read_dataset(p)
+
+    def test_non_integer_code_names_its_row(self, tmp_path):
+        def mutate(ls):
+            assert ls[3].endswith(":disc") and ls[6].endswith(",2.0")
+            ls[6] = ls[6][: -len("2.0")] + "2.5"
+
+        p = self.write_and_break(tmp_path, mutate)
+        with pytest.raises(FileFormatError, match=r"d\.csv:7: non-integer code 2\.5 in af0"):
+            read_dataset(p)
+
+    def test_more_attributes_than_latents_names_the_header(self, tmp_path):
+        def mutate(ls):
+            assert ls[3] == "z1,z2,af0:disc"
+            ls[3] = "z1,ax:cont,af0:disc"
+
+        p = self.write_and_break(tmp_path, mutate)
+        with pytest.raises(FileFormatError, match=r"d\.csv:4: 2 attributes exceed D=1"):
+            read_dataset(p)
+
+    def test_single_row_names_the_header(self, tmp_path):
+        p = self.write_and_break(tmp_path, lambda ls: ls.__delitem__(slice(5, None)))
+        with pytest.raises(FileFormatError, match=r"d\.csv:4: .*at least 2 body rows"):
             read_dataset(p)
 
 

@@ -16,6 +16,10 @@ import numpy as np
 import pytest
 
 from dmig import (
+    FLAG_DMIG_ABOVE_ONE,
+    FLAG_NEAR_ZERO_DENOMINATOR,
+    FLAG_NEGATIVE_DENOMINATOR,
+    FLAG_REGULARIZATION_FAILURE,
     Dataset,
     EstimatorConfig,
     SampleColumn,
@@ -24,6 +28,7 @@ from dmig import (
     gen_discrete_joint,
     gen_gaussian_pair,
     mi_profile,
+    read_report,
     write_report,
 )
 from dmig.estimation import conditional_entropy, mi_discrete
@@ -125,6 +130,27 @@ def test_report_bytes_frozen(name, workers, tmp_path):
     out = tmp_path / f"{name}.report"
     write_report(evaluate(DATASETS[name](), CFG, workers=workers), out)
     assert out.read_bytes() == (GOLDEN / f"{name}.report").read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(DATASETS))
+def test_report_read_back_writes_same_bytes(name, tmp_path):
+    out = tmp_path / f"{name}.report"
+    write_report(read_report(GOLDEN / f"{name}.report"), out)
+    assert out.read_bytes() == (GOLDEN / f"{name}.report").read_bytes()
+
+
+def test_golden_reports_carry_every_flag_and_token():
+    # So the read-back above covers every flag, "+inf" and an empty flag set.
+    texts = [(GOLDEN / f"{name}.report").read_text() for name in DATASETS]
+    reports = [read_report(GOLDEN / f"{name}.report") for name in DATASETS]
+    flags = set().union(*(a.flags for r in reports for a in r.per_attribute))
+    assert flags == {
+        FLAG_DMIG_ABOVE_ONE,
+        FLAG_NEAR_ZERO_DENOMINATOR,
+        FLAG_NEGATIVE_DENOMINATOR,
+        FLAG_REGULARIZATION_FAILURE,
+    }
+    assert any("+inf" in t for t in texts) and any("flags=-" in t for t in texts)
 
 
 def test_golden_cases_reach_their_branches():

@@ -385,7 +385,7 @@ class TestEvaluate:
             attributes=(disc(a),),
             names=("flat_z",),
         )
-        with pytest.raises(MetricComputationError, match="SCC failed for attribute 'flat_z'"):
+        with pytest.raises(MetricComputationError, match=r"SCC failed for attribute 'flat_z' \(index 0\): "):
             evaluate(ds, CFG)
 
     def test_single_ideal_binary_attribute(self):
