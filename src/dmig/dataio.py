@@ -397,14 +397,15 @@ def read_report(path: str | Path) -> MetricReport:
 # Series files
 
 
-def _check_epochs(series: list[tuple[int, MetricReport]], path: str | Path) -> None:
-    epochs = [t for t, _ in series]
-    if any(b <= a for a, b in zip(epochs, epochs[1:])):
-        raise FileFormatError(f"{path}: epochs must be strictly increasing")
+def _check_epochs(epochs: list[int], where: list[str]) -> None:
+    """Epochs must strictly increase; where[i] names the place of epochs[i]."""
+    for a, b, at in zip(epochs, epochs[1:], where[1:]):
+        if b <= a:
+            raise FileFormatError(f"{at}: epochs must be strictly increasing, got {b} after {a}")
 
 
 def write_series(series: list[tuple[int, MetricReport]], path: str | Path) -> None:
-    _check_epochs(series, path)
+    _check_epochs([t for t, _ in series], [str(path)] * len(series))
     lines = []
     for t, report in series:
         lines += [f"epoch {t}", *_report_body(report, path), "end"]
@@ -414,6 +415,7 @@ def write_series(series: list[tuple[int, MetricReport]], path: str | Path) -> No
 def read_series(path: str | Path) -> list[tuple[int, MetricReport]]:
     path, lines, idx = _read(path, "series")
     series: list[tuple[int, MetricReport]] = []
+    epoch_lines: list[str] = []
     i = idx
     while i < len(lines):
         where = f"{path}:{i + 1}"
@@ -424,12 +426,13 @@ def read_series(path: str | Path) -> list[tuple[int, MetricReport]]:
         while j < len(lines) and lines[j] != "end":
             j += 1
         if j >= len(lines):
-            raise FileFormatError(f"{path}: epoch {t} block missing 'end' line")
+            raise FileFormatError(f"{where}: epoch {t} block missing 'end' line")
         series.append((t, _parse_report_body(lines[i + 1:j], path, i + 2)))
+        epoch_lines.append(where)
         i = j + 1
     if not series:
         raise FileFormatError(f"{path}: series contains no epochs")
-    _check_epochs(series, path)
+    _check_epochs([t for t, _ in series], epoch_lines)
     return series
 
 

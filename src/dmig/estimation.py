@@ -16,8 +16,9 @@ pure function of the config seed and the column bytes, so estimates are
 reproducible, symmetric in their arguments, and safe to compute
 concurrently. Mean reductions use math.fsum, which makes results
 invariant under joint row permutations of pre-jittered data. Every
-digamma argument is a positive integer and is evaluated exactly here;
-scipy is imported only for the kd-tree of a continuous pair.
+digamma argument is a positive integer and is evaluated exactly here,
+and the k-th neighbour search of a continuous pair is numpy's too: the
+package imports no scipy.
 """
 
 from __future__ import annotations
@@ -128,21 +129,277 @@ class MIEstimate:
     deterministic_relation: bool
 
 
-class cKDTree:
-    """scipy's kd-tree over the rows of data, loaded on first use.
+# The exact k-th-neighbour search of KSG's joint space. Around each point,
+# a block of grid cells (3x3 at first) is searched, and the k-th distance
+# found there is exact when no point outside the block can be closer, that
+# is, when the block reaches at least that far from the point on all four
+# sides. Cell sides are powers of two, so x / side is exact and every block
+# edge is an exact float; fl(b - a) is monotone in a and b, so a point
+# beyond an edge is at least fl(|point - edge|) away, the same fact that
+# _kth_gap and _count_within rely on. Each point picks its own cell side
+# from the number of points around it, so clusters of ties, thin strips and
+# far outliers each get cells of their own scale.
+_BLOCK_MAX = 64        # a point whose 3x3 block holds more, and more than k, moves finer
+_WIDEST = 11           # widest block half-width tried before a coarser grid
+_CHUNK = 1 << 16       # entries in one candidate matrix
 
-    Importing scipy.spatial takes longer than a whole evaluation without
-    a continuous pair, and only the KSG estimate of a continuous pair
-    builds a kd-tree, so the import waits until one runs.
+
+def _exponent(v):
+    """e with 2**(e-1) <= |v| < 2**e (0 for 0), elementwise."""
+    return np.frexp(v)[1]
+
+
+def _runs(ordered: np.ndarray) -> np.ndarray:
+    """True where a sorted array starts a run of equal values."""
+    first = np.empty(ordered.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    return first
+
+
+class cKDTree:
+    """k-th nearest distances among 2-D points under the max norm, in numpy.
+
+    This answers the one query that KSG made of scipy's kd-tree: for each
+    point of data, the distance to its k-th nearest point, itself counted
+    first. The distances equal scipy's bit for bit, since both take
+    max(|x_j - x_i|, |y_j - y_i|) in float64 and the search is exact. The
+    class keeps scipy's name, constructor and query signature, through
+    which perfbench/tracer.py times it.
     """
 
     def __init__(self, data: np.ndarray) -> None:
-        import scipy.spatial
+        self.data = data
+        self.x = np.ascontiguousarray(data[:, 0])
+        self.y = np.ascontiguousarray(data[:, 1])
+        self.by_x = np.argsort(self.x)
+        self.by_y = np.argsort(self.y)
+        self.x_sorted = self.x[self.by_x]
+        self.y_sorted = self.y[self.by_y]
 
-        self._tree = scipy.spatial.cKDTree(data)
+    def query(self, x, k, p=np.inf):
+        """(distances, None), as scipy's query(data, k=[rank], p=np.inf).
 
-    def query(self, *args, **kwargs):
-        return self._tree.query(*args, **kwargs)
+        distances[:, 0] holds each point's distance to its rank-th nearest
+        point, itself counted first. x must be the tree's own points and p
+        infinite, and neighbour indices are not computed.
+        """
+        (rank,) = k
+        return _kth_distances(self, rank - 1)[:, None], None
+
+
+class _Grid:
+    """The points in square cells of side 2**level; only occupied cells count.
+
+    A cell is keyed by the dense ranks of its column and its row among the
+    occupied ones, so keys stay below n**2 whatever the spread of the data.
+    The points are sorted by key, so one row of cells in a block is one
+    slice of them.
+    """
+
+    def __init__(self, tree: cKDTree, level: int) -> None:
+        self.side = side = math.ldexp(1.0, level)
+        n = tree.x.size
+        ranks, occupied = [], []
+        for ordered, order in ((tree.x_sorted, tree.by_x), (tree.y_sorted, tree.by_y)):
+            with np.errstate(over="ignore"):
+                cells = np.floor(np.clip(ordered / side, -2.0**60, 2.0**60))
+            first = _runs(cells)
+            rank = np.empty(n, dtype=np.int64)
+            rank[order] = np.cumsum(first) - 1
+            ranks.append(rank)
+            occupied.append(cells[first])
+        self.columns, self.rows = occupied
+        key = ranks[1] * self.columns.size + ranks[0]
+        order = np.argsort(key)
+        self.key = key[order]
+        # A point at infinity pads short candidate lists.
+        self.x = np.append(tree.x[order], np.inf)
+        self.y = np.append(tree.y[order], np.inf)
+        first = _runs(self.key)
+        self.cell_key = self.key[first]
+        self.start = np.flatnonzero(first)
+        self.cell = np.empty(n, dtype=np.int64)
+        self.cell[order] = np.cumsum(first) - 1
+
+    def blocks(self, rows: np.ndarray, h: int):
+        """lo, hi and edges of each row's block of (2h+1)**2 cells.
+
+        lo[:, j], hi[:, j] bound the slice of sorted points in the block's
+        j-th row of cells; edges holds its left, right, lower and upper
+        edge. Rows that share a cell share the work.
+        """
+        cell = self.cell[rows]
+        used = np.zeros(self.cell_key.size, dtype=bool)
+        used[cell] = True
+        at = (np.cumsum(used) - 1)[cell]
+        key = self.cell_key[used]
+        ncol = self.columns.size
+        col, row = key % ncol, key // ncol
+        cx, cy = self.columns[col], self.rows[row]
+        left = np.searchsorted(self.columns, self.columns - h, "left")[col]
+        right = np.searchsorted(self.columns, self.columns + h, "right")[col]
+        # Each row of cells in use is looked up once (key is sorted), and the
+        # queries go one row of the blocks at a time, in key order, which
+        # keeps them fast; a slice ends where the next cell key starts.
+        first = _runs(row)
+        of_row = np.cumsum(first) - 1
+        want = self.rows[row[first]] + np.arange(-h, h + 1)[:, None]
+        r = np.searchsorted(self.rows, want)
+        found = (self.rows[np.minimum(r, self.rows.size - 1)] == want)[:, of_row]
+        base = r[:, of_row] * ncol
+        ends = np.append(self.start, self.key.size)
+        lo = ends[np.searchsorted(self.cell_key, base + left)]
+        hi = np.where(found, ends[np.searchsorted(self.cell_key, base + right)], lo)
+        lo, hi = lo.T, hi.T
+        s = self.side
+        edges = np.stack(((cx - h) * s, (cx + h + 1) * s, (cy - h) * s, (cy + h + 1) * s), axis=1)
+        return lo[at], hi[at], edges[at]
+
+    def cell_shape(self, rows: np.ndarray):
+        """Point count, width and height of the points in each row's own cell."""
+        start = self.start
+        cell = self.cell[rows]
+        size = np.diff(np.append(start, self.key.size))[cell]
+        x, y = self.x[:-1], self.y[:-1]
+        width = (np.maximum.reduceat(x, start) - np.minimum.reduceat(x, start))[cell]
+        height = (np.maximum.reduceat(y, start) - np.minimum.reduceat(y, start))[cell]
+        return size, width, height
+
+
+def _nearest(grid: _Grid, qx, qy, lo, hi, kth: int) -> np.ndarray:
+    """The (kth + 1)-th smallest distance from (qx, qy) to the points of lo..hi.
+
+    Rows are taken in order of their candidate count, in chunks of at most
+    _CHUNK entries, so one crowded row widens only its own chunk. Each row
+    lists its slices, then points past the end, which take the last point
+    (the one at infinity) as padding.
+    """
+    out = np.empty(qx.size)
+    counts = hi - lo
+    count = counts.sum(1)
+    order = np.argsort(count)
+    ordered = count[order]
+    i = 0
+    while i < order.size:
+        j = min(order.size, i + max(1, _CHUNK // max(int(ordered[i]), 1)))
+        j = min(j, i + max(1, _CHUNK // max(int(ordered[j - 1]), 1)))
+        rows = order[i:j]
+        width = max(int(ordered[j - 1]), kth + 1)
+        lengths = np.column_stack((counts[rows], width - count[rows])).ravel()
+        starts = np.column_stack((lo[rows], np.full(rows.size, grid.x.size - 1))).ravel()
+        idx = np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
+        idx += np.arange(idx.size)
+        idx = idx.reshape(rows.size, width)
+        d = np.take(grid.x, idx, mode="clip")
+        d -= qx[rows, None]
+        np.abs(d, out=d)
+        e = np.take(grid.y, idx, mode="clip")
+        e -= qy[rows, None]
+        np.abs(e, out=e)
+        np.maximum(d, e, out=d)
+        d.sort(axis=1)
+        out[rows] = d[:, kth]
+        i = j
+    return out
+
+
+def _start_level(tree: cKDTree, k: int) -> int:
+    """A level whose cells hold about k points at a typical density.
+
+    The area is the IQR box of the points, or that of the points turned by
+    45 degrees when it is smaller, as for a correlated pair.
+    """
+    n = tree.x.size
+    q = [n // 4, (3 * n) // 4]
+    with np.errstate(over="ignore", invalid="ignore"):
+        iqr = [float(v[q[1]] - v[q[0]]) for v in (tree.x_sorted, tree.y_sorted)]
+        iqr += [float(np.diff(np.partition(v, q)[q])[0]) for v in (tree.x + tree.y, tree.x - tree.y)]
+        area = min(iqr[0] * iqr[1], iqr[2] * iqr[3] / 2)
+    return int(_exponent(math.sqrt(k * area / n))) if 0.0 < area < math.inf else 1023
+
+
+def _kth_distances(tree: cKDTree, kth: int) -> np.ndarray:
+    """The distance from each point to its (kth + 1)-th nearest."""
+    n = tree.x.size
+    k = kth + 1
+    out = np.empty(n)
+    # The 3x3 block of the top level holds every point; below a row's
+    # floor, its cell index would lose integer precision.
+    top = min(int(_exponent(np.abs(tree.data).max(initial=0.0))), 1023)
+    floor = np.maximum(_exponent(np.maximum(np.abs(tree.x), np.abs(tree.y))) - 52, -1022)
+    level = np.clip(_start_level(tree, k), floor, top)
+    sparse_at = floor - 1                # finest level known to hold too few
+    dense_at = np.full(n, top + 1)       # coarsest level known to hold too many
+    moves = np.zeros(n, dtype=np.int64)
+    pending = np.arange(n)
+    while pending.size:
+        moved = []
+        levels = level[pending]
+        for lv in np.unique(levels):
+            grid = _Grid(tree, int(lv))
+            rows = pending[levels == lv]
+            lo, hi, edges = grid.blocks(rows, 1)
+            count = (hi - lo).sum(1)
+            # A crowded block moves to a finer grid, unless searching it
+            # here costs less than building one. It holds more than k
+            # points, so a row sent back here is never short.
+            dense = (count > max(_BLOCK_MAX, k)) & (sparse_at[rows] < lv - 1)
+            if count[dense].sum() <= n:
+                dense[:] = False
+            if dense.any():
+                crowded = rows[dense]
+                size, width, height = grid.cell_shape(crowded)
+                # >= k coincident points: the kth distance is 0.
+                same = (size >= k) & (width == 0) & (height == 0)
+                out[crowded[same]] = 0.0
+                # The finer side comes from the density of the block, or of
+                # the row's own cell where that holds k points.
+                guess = 1.5 * grid.side * np.sqrt(k / count[dense])
+                with np.errstate(over="ignore", invalid="ignore"):
+                    own = 0.5 * np.maximum(np.sqrt(k * width * height / size),
+                                           k * np.maximum(width, height) / size)
+                guess = np.where(size >= k, np.minimum(guess, own), guess)[~same]
+                crowded = crowded[~same]
+                dense_at[crowded] = lv
+                level[crowded] = np.clip(_exponent(guess), sparse_at[crowded] + 1, lv - 1)
+                moved.append(crowded)
+                rows, lo, hi, edges, count = (a[~dense] for a in (rows, lo, hi, edges, count))
+            h = 1
+            while rows.size:
+                if h > 1:
+                    lo, hi, edges = grid.blocks(rows, h)
+                    count = (hi - lo).sum(1)
+                full = (count >= k) | (count == n)
+                x, y = tree.x[rows[full]], tree.y[rows[full]]
+                eps = _nearest(grid, x, y, lo[full], hi[full], kth)
+                e = edges[full]
+                exact = (count[full] == n) | (
+                    (eps <= x - e[:, 0]) & (eps <= e[:, 1] - x) & (eps <= y - e[:, 2]) & (eps <= e[:, 3] - y)
+                )
+                out[rows[full][exact]] = eps[exact]
+                # A row whose k-th point may lie beyond its block tries a
+                # block one ring wider or more, which is then exact: eps is
+                # below (h + 1) cell sides, and that block reaches so far.
+                # A row short of k points widens up to _WIDEST, then moves
+                # five levels up, where the 3x3 block covers the widest.
+                # Repeated moves double; a row that reaches a level known
+                # to be crowded, or the top, is searched there.
+                short = rows[~full]
+                h = 2 * h + 1 if h > 1 else 2
+                if h > _WIDEST and short.size:
+                    sparse_at[short] = lv
+                    up = lv + np.maximum(5, 1 << np.minimum(moves[short], 30))
+                    moves[short] += 1
+                    cap = np.minimum(dense_at[short], top)
+                    stop = up >= cap
+                    level[short] = np.where(stop, cap, up)
+                    sparse_at[short[stop]] = cap[stop] - 1
+                    moved.append(short)
+                    short = short[:0]
+                rows = np.concatenate((short, rows[full][~exact]))
+        pending = np.concatenate(moved) if moved else pending[:0]
+    return out
 
 
 # Coefficients of the asymptotic series of cephes' psi, and its Euler
@@ -307,7 +564,7 @@ def _count_within(values: np.ndarray, eps: np.ndarray) -> np.ndarray:
     """
     order = np.argsort(values)
     ordered = values[order]
-    first = np.concatenate(([True], ordered[1:] != ordered[:-1]))
+    first = _runs(ordered)
     u = ordered[first]
     below = np.concatenate((np.flatnonzero(first), [values.size]))
     radius = eps[order]
@@ -460,7 +717,7 @@ def rankdata(values: np.ndarray) -> tuple[np.ndarray, int]:
     """
     order = np.argsort(values)
     ordered = values[order]
-    first = np.concatenate(([True], ordered[1:] != ordered[:-1]))
+    first = _runs(ordered)
     dense = np.empty(values.size, dtype=np.intp)
     dense[order] = np.cumsum(first)
     count = np.concatenate((np.flatnonzero(first), [values.size]))

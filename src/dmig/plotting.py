@@ -2,9 +2,10 @@
 
 Renders one point per (epoch, attribute) for a chosen pair of metrics,
 one color per attribute, with an optional dotted reference line at y=1
-when DMIG is on the vertical axis. Output is deterministic text: the
-same series and spec produce byte-identical SVG. No rendering libraries
-are involved.
+when DMIG is on the vertical axis. Past the eighth attribute the colors
+repeat, and each further turn of the palette draws another marker shape.
+Output is deterministic text: the same series and spec produce
+byte-identical SVG. No rendering libraries are involved.
 """
 
 from __future__ import annotations
@@ -28,6 +29,15 @@ PALETTE = (
     "#8c564b",
     "#e377c2",
     "#17becf",
+)
+
+# Marker outlines, as unit-radius polygons, of the palette's second,
+# third and fourth turns; the first turn draws circles, with square
+# legend swatches. From the 33rd attribute on, the markers repeat.
+_SHAPES = (
+    ((0.0, -1.0), (0.866, 0.5), (-0.866, 0.5)),
+    ((0.0, -1.0), (1.0, 0.0), (0.0, 1.0), (-1.0, 0.0)),
+    ((0.0, 1.0), (0.866, -0.5), (-0.866, -0.5)),
 )
 
 _W, _H = 640, 480
@@ -74,6 +84,33 @@ def _fmt(v: float) -> str:
     return f"{v:.2f}"
 
 
+def _polygon(shape, cx: float, cy: float, r: float, paint: str) -> str:
+    points = " ".join(f"{_fmt(cx + r * u)},{_fmt(cy + r * v)}" for u, v in shape)
+    return f'<polygon points="{points}" {paint}/>'
+
+
+def _style(i: int) -> tuple[str, int]:
+    """The colour of the i-th attribute, and which turn of the palette it is in."""
+    return PALETTE[i % len(PALETTE)], i // len(PALETTE) % (len(_SHAPES) + 1)
+
+
+def _marker(i: int, x: float, y: float) -> str:
+    """The plot marker of the i-th attribute, centred on (x, y)."""
+    color, turn = _style(i)
+    paint = f'fill="{color}" fill-opacity="0.8"'
+    if turn == 0:
+        return f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="4" {paint}/>'
+    return _polygon(_SHAPES[turn - 1], x, y, 5.0, paint)
+
+
+def _swatch(i: int, x: int, y: int) -> str:
+    """The legend swatch of the i-th attribute, in the 12x12 box at (x, y)."""
+    color, turn = _style(i)
+    if turn == 0:
+        return f'<rect x="{x}" y="{y}" width="12" height="12" fill="{color}"/>'
+    return _polygon(_SHAPES[turn - 1], x + 6, y + 6, 6.0, f'fill="{color}"')
+
+
 def render_series_scatter(
     series: list[tuple[int, MetricReport]], spec: PlotSpec
 ) -> str:
@@ -92,6 +129,8 @@ def render_series_scatter(
     skipped = 0
     for _, report in series:
         for rec in report.per_attribute:
+            if rec.name is None:
+                raise SpecValidationError("unusable attribute name None")
             x = metric(rec, spec.x_metric)
             y = metric(rec, spec.y_metric)
             attr_pts = pts.setdefault(rec.name, [])
@@ -177,21 +216,13 @@ def render_series_scatter(
         )
 
     for i, attr_pts in enumerate(pts.values()):
-        color = PALETTE[i % len(PALETTE)]
-        for x, y in attr_pts:
-            out.append(
-                f'<circle cx="{_fmt(sx(x))}" cy="{_fmt(sy(y))}" r="4" '
-                f'fill="{color}" fill-opacity="0.8"/>'
-            )
+        out.extend(_marker(i, sx(x), sy(y)) for x, y in attr_pts)
 
     # legend
     lx = _LEFT + px_w + 18
     for i, name in enumerate(pts):
-        color = PALETTE[i % len(PALETTE)]
         ly = _TOP + 10 + 20 * i
-        out.append(
-            f'<rect x="{lx}" y="{ly}" width="12" height="12" fill="{color}"/>'
-        )
+        out.append(_swatch(i, lx, ly))
         out.append(
             f'<text x="{lx + 18}" y="{ly + 10}" font-size="12" '
             f'font-family="sans-serif">a{name}</text>'

@@ -440,9 +440,7 @@ class TestSeriesErrors:
             (r"epoch 0\n", "epoch zero\n", r"s\.series:3: "),
             (r"epoch 3\n", "epoch 0_3\n", r"s\.series:\d+: "),
             (r"end\n", "end\nstray\n", r"s\.series:\d+: "),
-            (r"end\n\Z", "", r"s\.series: epoch 3 block"),
             (r"(?s)epoch 0\n.*", "", r"s\.series: series contains no epochs"),
-            (r"epoch 3\n", "epoch 0\n", r"s\.series: epochs must"),
         ],
     )
     def test_malformed_series_raises(self, tmp_path, pattern, replacement, match):
@@ -453,6 +451,26 @@ class TestSeriesErrors:
         assert n == 1
         p.write_text(text)
         with pytest.raises(FileFormatError, match=match):
+            read_series(p)
+
+    @staticmethod
+    def epoch_3_line(tmp_path, text_edit):
+        """Write a two-epoch series, edit its text, return (path, 'epoch 3' line number)."""
+        p = tmp_path / "s.series"
+        rng = np.random.default_rng(12)
+        write_series([(0, small_report(rng)), (3, small_report(rng))], p)
+        text = p.read_text()
+        p.write_text(text_edit(text))
+        return p, text.splitlines().index("epoch 3") + 1
+
+    def test_unclosed_block_names_its_epoch_line(self, tmp_path):
+        p, line = self.epoch_3_line(tmp_path, lambda text: text.removesuffix("end\n"))
+        with pytest.raises(FileFormatError, match=rf"s\.series:{line}: epoch 3 block missing 'end'"):
+            read_series(p)
+
+    def test_non_increasing_epoch_names_its_line(self, tmp_path):
+        p, line = self.epoch_3_line(tmp_path, lambda text: text.replace("epoch 3\n", "epoch 0\n"))
+        with pytest.raises(FileFormatError, match=rf"s\.series:{line}: epochs must be strictly increasing"):
             read_series(p)
 
 

@@ -6,12 +6,13 @@ and brute-force enumeration over small discrete tables.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.spatial import cKDTree
+from scipy.spatial import cKDTree as ScipyTree
 from scipy.special import digamma as scipy_digamma
 from scipy.stats import rankdata as scipy_rankdata
 
@@ -36,6 +37,7 @@ from dmig.estimation import (
     _digamma_each,
     _jittered,
     _kth_gap,
+    cKDTree,
     conditional_entropy,
     digamma,
     mi_classwise,
@@ -319,7 +321,7 @@ class TestDigamma:
 def kdtree_counts(values, eps):
     """Strict marginal counts as a 1-D kd-tree gives them (reference)."""
     pts = values[:, None]
-    found = cKDTree(pts).query_ball_point(
+    found = ScipyTree(pts).query_ball_point(
         pts, np.nextafter(eps, 0.0), p=np.inf, return_length=True
     )
     return np.where(eps == 0.0, 0, found - 1)
@@ -329,11 +331,8 @@ TIE_HEAVY = st.lists(st.integers(0, 3).map(float), min_size=2, max_size=80)
 ROUNDED = st.lists(
     st.floats(-10.0, 10.0).map(lambda v: round(v, 1)), min_size=2, max_size=80
 )
-MIXED_MAGNITUDES = st.lists(
-    st.floats(-1e12, 1e12, allow_nan=False).map(lambda v: v * 10.0 ** -(abs(v) % 20)),
-    min_size=2,
-    max_size=80,
-)
+MAGNITUDE = st.floats(-1e12, 1e12, allow_nan=False).map(lambda v: v * 10.0 ** -(abs(v) % 20))
+MIXED_MAGNITUDES = st.lists(MAGNITUDE, min_size=2, max_size=80)
 TIE_FREE = st.lists(st.floats(allow_nan=False), min_size=1, max_size=80, unique=True)
 
 
@@ -368,7 +367,7 @@ class TestMarginalCounts:
         z = cont(np.round(a.values + 0.5 * rng.standard_normal(300), 1))
         cfg = EstimatorConfig(k=k, jitter=jitter)
         joint = np.column_stack([_jittered(a, cfg), _jittered(z, cfg)])
-        eps = cKDTree(joint).query(joint, k=[k + 1], p=np.inf)[0][:, 0]
+        eps = ScipyTree(joint).query(joint, k=[k + 1], p=np.inf)[0][:, 0]
         for col in joint.T:
             assert np.array_equal(_count_within(col, eps), kdtree_counts(col, eps))
 
@@ -405,7 +404,7 @@ class TestKthGap:
             pts = _jittered(cont(np.round(rng.standard_normal(n), 1)), CFG)
         else:
             pts = rng.integers(0, 4, n).astype(float)
-        ref = cKDTree(pts[:, None]).query(pts[:, None], k=[k + 1], p=np.inf)[0][:, 0]
+        ref = ScipyTree(pts[:, None]).query(pts[:, None], k=[k + 1], p=np.inf)[0][:, 0]
         assert np.array_equal(np.sort(_kth_gap(pts, k)), np.sort(ref))
 
     def test_coincident_samples_still_rejected(self):
@@ -415,6 +414,75 @@ class TestKthGap:
         with pytest.raises(DegenerateSampleError):
             entropy_continuous(col, EstimatorConfig(k=2, jitter=0.0))
         assert math.isfinite(entropy_continuous(col, EstimatorConfig(k=3, jitter=0.0)))
+
+
+def joint_points(family, n, seed):
+    """n points of one joint-space shape that the KSG search must get exact."""
+    rng = np.random.default_rng(seed)
+    if family.startswith("gaussian"):
+        x, y = gauss_pair(float(family.removeprefix("gaussian")), n, seed)
+    elif family == "rounded":
+        x, y = np.round(rng.standard_normal((2, n)), 1)
+    elif family == "codes":
+        # Integer codes at jitter 0: >= k+1 coincident points give eps == 0.
+        return rng.integers(0, 4, (n, 2)).astype(float)
+    elif family == "ties":
+        x, y = rng.integers(0, 2, (2, n)).astype(float)
+    else:
+        x, y = gauss_pair(0.5, n, seed)
+        x[rng.integers(n)] = 1e9
+    return np.column_stack([_jittered(cont(x), CFG), _jittered(cont(y), CFG)])
+
+
+def kth_joint(search, joint, k):
+    return search(joint).query(joint, k=[k + 1], p=np.inf)[0][:, 0]
+
+
+class TestJointSearch:
+    """The numpy k-th-neighbour search equals scipy's kd-tree bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(min_value=0, max_value=2**31 - 1),
+        st.sampled_from(
+            ["gaussian0.5", "gaussian0.96", "gaussian0.999", "rounded", "codes", "outlier"]
+        ),
+        st.integers(min_value=1, max_value=5),
+        st.data(),
+    )
+    def test_equal_to_kdtree(self, seed, family, k, data):
+        # Up to 3000 points, so that points also move between grids.
+        joint = joint_points(family, data.draw(st.integers(k + 1, 3000)), seed)
+        assert np.array_equal(kth_joint(cKDTree, joint, k), kth_joint(ScipyTree, joint, k))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(MAGNITUDE, MAGNITUDE), min_size=2, max_size=80), st.data())
+    def test_equal_to_kdtree_on_mixed_magnitudes(self, pairs, data):
+        joint = np.array(pairs)
+        k = data.draw(st.integers(1, min(5, len(pairs) - 1)))
+        assert np.array_equal(kth_joint(cKDTree, joint, k), kth_joint(ScipyTree, joint, k))
+
+    @pytest.mark.parametrize("k, cluster", [(100, 65), (100, 80), (100, 100)])
+    def test_isolated_cluster_at_large_k(self, k, cluster):
+        # The cluster crowds its block on every grid, yet holds no more
+        # than k points, so each of its points needs far ones as well.
+        rng = np.random.default_rng(11)
+        far = 1000.0 + 1e-9 * rng.standard_normal((cluster, 2))
+        joint = np.vstack([joint_points("gaussian0.5", 2000, 11), far])
+        assert np.array_equal(kth_joint(cKDTree, joint, k), kth_joint(ScipyTree, joint, k))
+
+    @pytest.mark.parametrize("family", ["outlier", "ties"])
+    def test_exact_in_small_memory_at_25000_points(self, family):
+        # The far point and the tie clusters each need grids of their own.
+        joint = joint_points(family, 25_000, 5)
+        tracemalloc.start()
+        try:
+            got = kth_joint(cKDTree, joint, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
+        assert np.array_equal(got, kth_joint(ScipyTree, joint, 3))
 
 
 class TestMiDiscrete:

@@ -1,4 +1,4 @@
-"""Plot spec validation and the grouping of series points by attribute.
+"""Plot spec validation, and how series points are grouped and marked by attribute.
 
 The SVG bytes of real series are frozen through the CLI (test_cli.py).
 """
@@ -48,6 +48,9 @@ def report(*points: tuple[str, float, float]) -> MetricReport:
     )
 
 
+SPEC = PlotSpec(x_metric="mig", y_metric="dmig", x_range=(0.0, 1.0), y_range=(0.0, 2.0))
+
+
 def test_points_follow_attribute_names_across_epochs():
     # Epoch 1 lists q before p, and epoch 2 holds only p.
     epochs = [
@@ -69,3 +72,37 @@ def test_points_follow_attribute_names_across_epochs():
         expected = sorted((x, y) for x, y, _ in circles(render_series_scatter(alone, spec)))
         assert sorted((x, y) for x, y, c in circles(svg) if c == color) == expected
     assert len(circles(svg)) == 5
+
+
+def shape_and_fill(element):
+    """An SVG marker or swatch without its position: tag, outline, fill."""
+    tag = element[1:element.index(" ")]
+    fill = re.search(r'fill="(#\w+)"', element).group(1)
+    points = re.search(r'points="([^"]*)"', element)
+    if not points:
+        return tag, (), fill
+    xy = [tuple(map(float, p.split(","))) for p in points.group(1).split()]
+    x0, y0 = xy[0]
+    return tag, tuple((round(x - x0, 1), round(y - y0, 1)) for x, y in xy), fill
+
+
+def test_ninth_attribute_gets_its_own_marker():
+    # 17 attributes: the palette's 8 colours turn twice, and each turn
+    # draws its own shape, in the plot and in the legend.
+    names = [f"n{i}" for i in range(17)]
+    epochs = [[(name, 0.05 * i, 0.05 * i + t) for i, name in enumerate(names)] for t in (0, 1)]
+    svg = render_series_scatter([(t, report(*pts)) for t, pts in enumerate(epochs)], SPEC)
+    legend = re.findall(r"(<(?:rect|polygon) [^>]*/>)\n<text [^>]*>a(\w+)</text>", svg)
+    assert [name for _, name in legend] == names
+    assert len({shape_and_fill(swatch) for swatch, _ in legend}) == 17
+    # Each attribute's two points share one marker, unlike any other's.
+    drawn = [shape_and_fill(m) for m in re.findall(r"<(?:circle|polygon) [^>]*opacity[^>]*/>", svg)]
+    assert len(drawn) == 34 and len(set(drawn)) == 17
+    assert shape_and_fill(legend[8][0]) != shape_and_fill(legend[0][0])
+
+
+def test_nameless_records_rejected():
+    nameless = [(None, 0.1, 0.2), (None, 0.3, 0.4)]
+    series = [(t, report(*nameless)) for t in (0, 1)]
+    with pytest.raises(SpecValidationError, match="unusable attribute name None"):
+        render_series_scatter(series, SPEC)

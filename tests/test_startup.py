@@ -1,9 +1,8 @@
 """What a fresh interpreter loads when it imports or runs dmig.
 
-scipy is imported only for the kd-tree of a continuous pair, so
-importing the package and evaluating a dataset whose pairs each hold a
-discrete column load no scipy module. Each test starts its own
-interpreter, since this one has scipy loaded.
+dmig imports no scipy: importing the package and evaluating any dataset,
+continuous pairs included and with --workers, load no scipy module. Each
+test starts its own interpreter, since this one has scipy loaded.
 """
 
 import json
@@ -61,11 +60,11 @@ def test_discrete_attribute_continuous_latent_eval_loads_no_scipy(tmp_path, work
     assert out.read_bytes() == (GOLDEN / "noisy_discrete.report").read_bytes()
 
 
-def test_first_scipy_import_in_pool_threads(tmp_path):
-    # Nothing loads scipy before the --workers 2 pool starts, so its
-    # threads race to import it; the report must still match its golden.
+@pytest.mark.parametrize("workers", [1, 2])
+def test_continuous_eval_loads_no_scipy(tmp_path, workers):
+    # Every pair is continuous x continuous, so every MI cell runs the KSG
+    # k-th-neighbour search; the report must still match its golden.
     path, out = tmp_path / "continuous_m3.csv", tmp_path / "out.report"
     write_dataset(DATASETS["continuous_m3"](), path)
-    loaded = scipy_modules_after(eval_code(path, "--workers", "2", "--out", out))
-    assert "scipy.spatial" in loaded
+    assert scipy_modules_after(eval_code(path, "--workers", workers, "--out", out)) == []
     assert out.read_bytes() == (GOLDEN / "continuous_m3.report").read_bytes()
