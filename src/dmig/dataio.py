@@ -9,6 +9,10 @@ Dataset files are CSV with a header declaring each column as `z<k>`
 (latent dimension k, 1-based) or `a<name>:<kind>` with kind `cont` or
 `disc`. Optional `#map a<name> -> z<k>` lines before the header override
 the default identity assignment of attributes to latent dimensions.
+Each body cell reads as the value float() gives it, bit for bit: a body
+of plain number bytes is parsed by numpy's C reader, and any other body,
+or one the C reader rejects or reads into another shape, by a line loop
+that names the first line it rejects.
 
 Report files are line-oriented key/value text; series files hold one
 report block per epoch between `epoch <t>` and `end` lines, with epochs
@@ -144,6 +148,51 @@ def write_dataset(ds: Dataset, path: str | Path) -> None:
     _write(path, "dataset", lines)
 
 
+# The bytes of a body that numpy's C reader reads as _parse_rows does.
+# Beyond them it strips more space around a cell, such as "\xa0" and
+# "\x1f", which _parse_rows rejects.
+_PLAIN_BODY = b"0123456789+-.eE \t,\n"
+
+
+def _parse_rows(body: list[str], path: Path, first_lineno: int, width: int) -> np.ndarray:
+    """The body's table, read line by line with float(); names a rejected line."""
+    values: list[float] = []
+    for lineno, line in enumerate(body, start=first_lineno):
+        cells = line.split(",")
+        if len(cells) != width:
+            raise FileFormatError(
+                f"{path}:{lineno}: expected {width} cells, found {len(cells)}"
+            )
+        if "_" in line or not line.isascii():
+            # float() reads "1_0" as 10.0 and "١" as 1.0; a cell is a plain number.
+            cell = next(c for c in cells if "_" in c or not c.isascii())
+            raise FileFormatError(f"{path}:{lineno}: not a plain number: {cell!r}")
+        try:
+            values += map(float, cells)
+        except ValueError as exc:
+            raise FileFormatError(f"{path}:{lineno}: {exc}") from None
+    return np.array(values, dtype=np.float64).reshape(-1, width)
+
+
+def _parse_body(body: list[str], path: Path, first_lineno: int, width: int) -> np.ndarray:
+    """The body's table, equal bit for bit to _parse_rows' or with its error.
+
+    A body of plain bytes is parsed by numpy's C reader, which calls the
+    same strtod as float(). The C reader skips an empty line, and warns
+    when no line is left, so a body with one goes to _parse_rows, as
+    does one that it rejects or reads into another shape.
+    """
+    if "" not in body and not "\n".join(body).encode().translate(None, _PLAIN_BODY):
+        try:
+            table = np.loadtxt(body, delimiter=",", comments=None, dtype=np.float64, ndmin=2)
+        except ValueError:
+            pass
+        else:
+            if table.shape == (len(body), width):
+                return table
+    return _parse_rows(body, path, first_lineno, width)
+
+
 def read_dataset(path: str | Path) -> Dataset:
     path, lines, idx = _read(path, "dataset")
 
@@ -209,23 +258,7 @@ def read_dataset(path: str | Path) -> Dataset:
             raise FileFormatError(f"{path}:{lineno}: z{j + 1} is mapped to two attributes")
         taken.add(j)
 
-    values: list[float] = []
-    width = len(tokens)
-    for lineno, line in enumerate(lines[idx + 1:], start=header_lineno + 1):
-        cells = line.split(",")
-        if len(cells) != width:
-            raise FileFormatError(
-                f"{path}:{lineno}: expected {width} cells, found {len(cells)}"
-            )
-        if "_" in line or not line.isascii():
-            # float() reads "1_0" as 10.0 and "١" as 1.0; a cell is a plain number.
-            cell = next(c for c in cells if "_" in c or not c.isascii())
-            raise FileFormatError(f"{path}:{lineno}: not a plain number: {cell!r}")
-        try:
-            values += map(float, cells)
-        except ValueError as exc:
-            raise FileFormatError(f"{path}:{lineno}: {exc}") from None
-    table = np.array(values, dtype=np.float64).reshape(-1, width)
+    table = _parse_body(lines[idx + 1:], path, header_lineno + 1, len(tokens))
     finite = np.isfinite(table)
     if not finite.all():
         r = int(np.argmin(finite.all(axis=1)))

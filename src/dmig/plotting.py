@@ -222,10 +222,12 @@ def render_series_scatter(
     lx = _LEFT + px_w + 18
     for i, name in enumerate(pts):
         ly = _TOP + 10 + 20 * i
+        # A name may hold any printable character but " ", "," and "=".
+        label = name.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
         out.append(_swatch(i, lx, ly))
         out.append(
             f'<text x="{lx + 18}" y="{ly + 10}" font-size="12" '
-            f'font-family="sans-serif">a{name}</text>'
+            f'font-family="sans-serif">a{label}</text>'
         )
 
     out.append("</svg>")

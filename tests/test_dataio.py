@@ -6,6 +6,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from dmig import (
     AttributeMetrics,
@@ -27,7 +29,7 @@ from dmig import (
     write_series,
     write_truth,
 )
-from dmig.dataio import format_float, parse_float
+from dmig.dataio import _parse_rows, format_float, parse_float
 from dmig.synthetic import discrete_truth, gaussian_truth
 from test_golden import DATASETS as GOLDEN_DATASETS
 
@@ -177,7 +179,12 @@ class TestDatasetErrors:
         with pytest.raises(FileFormatError, match=r":\d+:"):
             read_dataset(p)
 
-    @pytest.mark.parametrize("cell", ["abc", "nan", "+inf", "1e400", "\u0661", "\uff11"])
+    @pytest.mark.parametrize(
+        "cell",
+        # numpy's loadtxt reads the last four as 1.0: it strips any space
+        # around a number, and by default "#" starts a comment.
+        ["abc", "nan", "+inf", "1e400", "\u0661", "\uff11", "\x1f1", "\xa01", "1\u3000", "1.0#x"],
+    )
     def test_bad_cell_names_its_line(self, tmp_path, cell):
         def mutate(ls):
             assert ls[3].startswith("z1,") and len(ls) == 10
@@ -316,6 +323,110 @@ class TestDatasetErrors:
         p = self.write_and_break(tmp_path, lambda ls: ls.__delitem__(slice(5, None)))
         with pytest.raises(FileFormatError, match=r"d\.csv:4: .*at least 2 body rows"):
             read_dataset(p)
+
+    @pytest.mark.parametrize(
+        "mutate, lineno",
+        [
+            (lambda ls: ls.insert(6, ""), 7),
+            (lambda ls: ls.append(""), 11),
+            (lambda ls: ls.__setitem__(6, " \t "), 7),
+            (lambda ls: ls.__setitem__(6, ls[6] + ","), 7),
+            (lambda ls: ls.__setitem__(slice(4, None), [l + ",0.0" for l in ls[4:]]), 5),
+            (lambda ls: ls.__setitem__(slice(4, None), [""] * 6), 5),
+        ],
+        ids=["empty", "empty-last", "blank", "trailing-comma", "all-rows-wide", "all-empty"],
+    )
+    @pytest.mark.filterwarnings("error")
+    def test_body_numpy_would_read_otherwise_names_its_line(self, tmp_path, mutate, lineno):
+        # numpy's loadtxt skips empty lines, and warns when no line is
+        # left; the reader rejects each such body, without a warning.
+        p = self.write_and_break(tmp_path, mutate)
+        with pytest.raises(FileFormatError) as err:
+            read_dataset(p)
+        assert str(err.value).startswith(f"{p}:{lineno}: ")
+
+
+# Pieces of a mutated dataset cell: the space around a number that
+# float() or numpy's C reader strip, what numbers are made of, spellings
+# that float() also reads, and the cell separator.
+BODY_SPACES = st.sampled_from([" ", "\t", "\x1f", "\xa0", "\u3000"])
+BODY_PIECES = st.one_of(
+    BODY_SPACES, st.sampled_from([*"0123456789.eE+-", "_", "inf", "nan", "\u0661", ","])
+)
+
+
+def fuzz_dataset(seed: int, n: int) -> Dataset:
+    rng = np.random.default_rng(seed)
+    return Dataset(
+        latents=rng.standard_normal((n, 2)) * 10.0 ** rng.integers(-8, 8, (n, 2)),
+        attributes=(
+            SampleColumn(rng.integers(-2, 3, n).astype(float), kind="discrete"),
+            SampleColumn(rng.standard_normal(n), kind="continuous"),
+        ),
+        names=("c", "x"),
+    )
+
+
+def mutate_body(body: list[str], data) -> None:
+    """Change cells, lines, the line count or the width of body in place."""
+    tokens = st.lists(BODY_PIECES, max_size=3).map("".join)
+    spaces = st.lists(BODY_SPACES, max_size=2).map("".join)
+    for _ in range(data.draw(st.integers(1, 3))):
+        r = data.draw(st.integers(0, len(body) - 1))
+        cells = body[r].split(",")
+        c = data.draw(st.integers(0, len(cells) - 1))
+        op = data.draw(st.sampled_from(["cell", "wrap", "line", "drop", "duplicate", "width"]))
+        if op == "cell":
+            cells[c] = data.draw(tokens)
+            body[r] = ",".join(cells)
+        elif op == "wrap":
+            cells[c] = data.draw(spaces) + cells[c] + data.draw(spaces)
+            body[r] = ",".join(cells)
+        elif op == "line":
+            body[r] = data.draw(tokens)
+        elif op == "drop" and len(body) > 2:
+            del body[r]
+        elif op == "duplicate":
+            body.insert(r, body[r])
+        elif op == "width":
+            # One cell more or one fewer on every line.
+            cut = data.draw(st.booleans())
+            body[:] = [line.rpartition(",")[0] if cut else f"{line},{r}" for line in body]
+
+
+class TestDatasetBodyFuzz:
+    @settings(
+        max_examples=250, deadline=None, derandomize=True, database=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(st.integers(0, 2**16), st.integers(2, 8), st.data())
+    @pytest.mark.filterwarnings("error")
+    def test_read_equals_the_line_loop(self, tmp_path, seed, n, data):
+        # read_dataset gives the table of the line-by-line float() loop bit
+        # for bit, or its error, or the error of a later check on that table.
+        p = tmp_path / "d.csv"
+        write_dataset(fuzz_dataset(seed, n), p)
+        lines = p.read_text().splitlines()
+        assert lines[4] == "z1,z2,ac:disc,ax:cont"
+        head, body = lines[:5], lines[5:]
+        mutate_body(body, data)
+        p.write_text("\n".join(head + body) + "\n", encoding="utf-8")
+        try:
+            table = _parse_rows(body, p, len(head) + 1, 4)
+        except FileFormatError as exc:
+            with pytest.raises(FileFormatError) as err:
+                read_dataset(p)
+            assert str(err.value) == str(exc)
+            return
+        try:
+            ds = read_dataset(p)
+        except FileFormatError as exc:
+            codes = table[:, 2]
+            assert not np.isfinite(table).all() or not np.array_equal(codes, np.floor(codes))
+            assert re.match(rf"{re.escape(str(p))}:\d+: (non-finite value|non-integer code) ", str(exc))
+            return
+        got = np.column_stack([ds.latents, *(col.values for col in ds.attributes)])
+        assert np.array_equal(got.view(np.int64), table.view(np.int64))
 
 
 class TestReportRoundTrip:

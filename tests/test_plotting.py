@@ -4,6 +4,7 @@ The SVG bytes of real series are frozen through the CLI (test_cli.py).
 """
 
 import re
+from xml.etree import ElementTree
 
 import pytest
 
@@ -106,3 +107,11 @@ def test_nameless_records_rejected():
     series = [(t, report(*nameless)) for t in (0, 1)]
     with pytest.raises(SpecValidationError, match="unusable attribute name None"):
         render_series_scatter(series, SPEC)
+
+
+def test_legend_escapes_markup_in_names():
+    # The series reader accepts these names, and the SVG must still parse.
+    series = [(t, report(("p<q", 0.1, 0.2), ("r&s", 0.3, 0.4 + t))) for t in (0, 1)]
+    root = ElementTree.fromstring(render_series_scatter(series, SPEC))
+    texts = [el.text for el in root.iter("{http://www.w3.org/2000/svg}text")]
+    assert texts[-2:] == ["ap<q", "ar&s"]
