@@ -31,20 +31,12 @@ from .errors import DmigError, FileFormatError, SpecValidationError
 from .estimation import EstimatorConfig
 from .metrics import MetricReport, compute_dmig, evaluate, mi_profile
 from .plotting import METRICS, PlotSpec, render_series_scatter
-from .synthetic import (
-    SyntheticSpec,
-    gaussian_truth,
-    gen_discrete_joint,
-    gen_gaussian_pair,
-    gen_trajectory,
-)
+from .synthetic import FAMILIES, SyntheticSpec, gaussian_truth
 
 __all__ = ["main"]
 
 
-def _cell(v: float | None) -> str:
-    if v is None:
-        return "none"
+def _cell(v: float) -> str:
     if not np.isfinite(v):
         return format_float(v)
     return f"{v:.4f}"
@@ -147,12 +139,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
         noise_schedule=schedule,
         d_total=args.d_total,
     )
-    gen = {
-        "gaussian_pair": gen_gaussian_pair,
-        "discrete_joint": gen_discrete_joint,
-        "trajectory": gen_trajectory,
-    }[family]
-    generated = _generate(gen, spec)
+    generated = _generate(FAMILIES[family], spec)
     truth_path = out_dir / f"{family}.truth"
     if family == "trajectory":
         width = len(str(len(generated) - 1))
@@ -241,14 +228,19 @@ def cmd_plot(args: argparse.Namespace) -> int:
 
 
 def _add_estimator_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--k", type=int, default=3, help="kNN neighbor count (default 3)")
+    cfg = EstimatorConfig()
+    p.add_argument(
+        "--k", type=int, default=cfg.k, help="kNN neighbor count (default %(default)s)"
+    )
     p.add_argument(
         "--jitter",
         type=float,
-        default=1e-10,
-        help="tie-breaking noise amplitude relative to column std (default 1e-10)",
+        default=cfg.jitter,
+        help="tie-breaking noise amplitude relative to column std (default %(default)s)",
     )
-    p.add_argument("--seed", type=int, default=0, help="estimator seed (default 0)")
+    p.add_argument(
+        "--seed", type=int, default=cfg.seed, help="estimator seed (default %(default)s)"
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -282,11 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="generate a synthetic dataset with a ground-truth sidecar",
         description="Generate synthetic datasets with closed-form ground truth.",
     )
-    p_synth.add_argument(
-        "--family",
-        required=True,
-        choices=["gaussian_pair", "discrete_joint", "trajectory"],
-    )
+    p_synth.add_argument("--family", required=True, choices=list(FAMILIES))
     p_synth.add_argument("--n", type=int, default=20000, help="sample count")
     p_synth.add_argument("--seed", type=int, default=0, help="generator seed")
     p_synth.add_argument(

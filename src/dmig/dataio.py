@@ -48,7 +48,7 @@ __all__ = [
 FORMAT_LINE = "#format v1"
 
 _KIND_TO_TOKEN = {CONTINUOUS: "cont", DISCRETE: "disc"}
-_TOKEN_TO_KIND = {"cont": CONTINUOUS, "disc": DISCRETE}
+_TOKEN_TO_KIND = {token: kind for kind, token in _KIND_TO_TOKEN.items()}
 
 _Z_TOKEN = re.compile(r"^z([1-9][0-9]*)$")
 _MAP_LINE = re.compile(r"^#map a(.+) -> z([1-9][0-9]*)$")
@@ -109,7 +109,15 @@ def _write(path: str | Path, kind: str, body: list[str]) -> None:
 def _read(path: str | Path, kind: str) -> tuple[Path, list[str], int]:
     """Read a file, check its format and kind lines; return the body start."""
     path = Path(path)
-    lines = path.read_text(encoding="utf-8").splitlines()
+    data = path.read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # The line that holds the first bad byte, as splitlines counts lines.
+        line = len((data[:exc.start].decode("utf-8") + "x").splitlines())
+        raise FileFormatError(f"{path}:{line}: not UTF-8 text ({exc.reason})") from None
+    del data  # not held through the split, which keeps peak memory down
+    lines = text.splitlines()
     if not lines or lines[0] != FORMAT_LINE:
         raise FileFormatError(f"{path}:1: expected leading '{FORMAT_LINE}' line")
     if len(lines) > 1 and lines[1].startswith("#kind "):
@@ -207,7 +215,7 @@ def read_dataset(path: str | Path) -> Dataset:
         mapping[name] = (int(m.group(2)) - 1, idx + 1)
         idx += 1
     if idx >= len(lines):
-        raise FileFormatError(f"{path}: missing header row")
+        raise FileFormatError(f"{path}:{idx}: missing header row after the last line")
 
     header_lineno = idx + 1
     tokens = lines[idx].split(",")
@@ -412,8 +420,13 @@ def _parse_report_body(lines: list[str], path: Path, start_lineno: int) -> Metri
             per.append(AttributeMetrics(name=name, **_parse_kv(kvs, where, _ATTRIBUTE_FIELDS)))
         else:
             raise FileFormatError(f"{where}: unknown report line {line!r}")
-    if len(kw) < 4 or not per:  # the digest, config and two mean lines
-        raise FileFormatError(f"{path}: incomplete report block")
+    missing = [key for key in ("digest", "config", "mean_mig", "mean_dmig") if key not in seen]
+    if not per:
+        missing.append("attribute")
+    if missing:
+        # Named at the block's last line, or the line before an empty block.
+        last = f"{path}:{start_lineno + len(lines) - 1}"
+        raise FileFormatError(f"{last}: incomplete report block, missing {', '.join(missing)}")
     return MetricReport(per_attribute=tuple(per), **kw)
 
 
@@ -464,7 +477,7 @@ def read_series(path: str | Path) -> list[tuple[int, MetricReport]]:
         epoch_lines.append(where)
         i = j + 1
     if not series:
-        raise FileFormatError(f"{path}: series contains no epochs")
+        raise FileFormatError(f"{path}:{len(lines)}: series contains no epochs")
     _check_epochs([t for t, _ in series], epoch_lines)
     return series
 
@@ -503,7 +516,7 @@ def read_truth(path: str | Path) -> tuple[str, GroundTruth]:
     try:
         family, h1, h2, i12, hc12, hc21, d1, d2 = (kv[key] for key in _TRUTH_KEYS)
     except KeyError as exc:
-        raise FileFormatError(f"{path}: truth sidecar missing {exc}") from exc
+        raise FileFormatError(f"{path}:{len(lines)}: truth sidecar missing {exc} line") from exc
     truth = GroundTruth(
         h_a=(h1, h2),
         i_a1a2=i12,

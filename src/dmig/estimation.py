@@ -160,32 +160,25 @@ def _runs(ordered: np.ndarray) -> np.ndarray:
 class cKDTree:
     """k-th nearest distances among 2-D points under the max norm, in numpy.
 
-    This answers the one query that KSG made of scipy's kd-tree: for each
-    point of data, the distance to its k-th nearest point, itself counted
-    first. The distances equal scipy's bit for bit, since both take
-    max(|x_j - x_i|, |y_j - y_i|) in float64 and the search is exact. The
-    class keeps scipy's name, constructor and query signature, through
-    which perfbench/tracer.py times it.
+    This answers the one query that KSG makes of its joint space: for each
+    point (x_i, y_i), the distance to its k-th nearest other point, equal
+    to scipy's kd-tree's bit for bit, since both take max(|x_j - x_i|,
+    |y_j - y_i|) in float64 and the search is exact. Each column is sorted
+    once, and KSG's marginal counts reuse the orders. perfbench/tracer.py
+    times the constructor and query under the name of scipy's class.
     """
 
-    def __init__(self, data: np.ndarray) -> None:
-        self.data = data
-        self.x = np.ascontiguousarray(data[:, 0])
-        self.y = np.ascontiguousarray(data[:, 1])
-        self.by_x = np.argsort(self.x)
-        self.by_y = np.argsort(self.y)
-        self.x_sorted = self.x[self.by_x]
-        self.y_sorted = self.y[self.by_y]
+    def __init__(self, x: np.ndarray, y: np.ndarray) -> None:
+        self.x = x
+        self.y = y
+        self.by_x = np.argsort(x)
+        self.by_y = np.argsort(y)
+        self.x_sorted = x[self.by_x]
+        self.y_sorted = y[self.by_y]
 
-    def query(self, x, k, p=np.inf):
-        """(distances, None), as scipy's query(data, k=[rank], p=np.inf).
-
-        distances[:, 0] holds each point's distance to its rank-th nearest
-        point, itself counted first. x must be the tree's own points and p
-        infinite, and neighbour indices are not computed.
-        """
-        (rank,) = k
-        return _kth_distances(self, rank - 1)[:, None], None
+    def query(self, k: int) -> np.ndarray:
+        """Each point's distance to its k-th nearest other point."""
+        return _kth_distances(self, k)
 
 
 class _Grid:
@@ -326,8 +319,9 @@ def _kth_distances(tree: cKDTree, kth: int) -> np.ndarray:
     out = np.empty(n)
     # The 3x3 block of the top level holds every point; below a row's
     # floor, its cell index would lose integer precision.
-    top = min(int(_exponent(np.abs(tree.data).max(initial=0.0))), 1023)
-    floor = np.maximum(_exponent(np.maximum(np.abs(tree.x), np.abs(tree.y))) - 52, -1022)
+    norm = np.maximum(np.abs(tree.x), np.abs(tree.y))
+    top = min(int(_exponent(norm.max(initial=0.0))), 1023)
+    floor = np.maximum(_exponent(norm) - 52, -1022)
     level = np.clip(_start_level(tree, k), floor, top)
     sparse_at = floor - 1                # finest level known to hold too few
     dense_at = np.full(n, top + 1)       # coarsest level known to hold too many
@@ -547,26 +541,25 @@ def _kth_gap(values: np.ndarray, k: int) -> np.ndarray:
     return np.partition(gaps, k - 1, axis=1)[:, k - 1]
 
 
-def _count_within(values: np.ndarray, eps: np.ndarray) -> np.ndarray:
+def _count_within(ordered: np.ndarray, order: np.ndarray, eps: np.ndarray) -> np.ndarray:
     """Strict marginal counts #{j != i : |values_j - values_i| < eps_i}.
 
-    Binary search over the sorted distinct values u for the window
-    [x - eps, x + eps], then an exact fix-up of both edges. fl(u - x) is
-    monotone in u, so the values passing |u - x| < eps form one run that
-    holds x itself when eps > 0. Searching the rounded bounds inclusively
-    can only take in extra values at the edges, never miss one inside (a
-    u beyond fl(x + eps) has u - x > eps exactly, and eps is a float), so
-    each edge steps inwards until its distinct value passes. A row with
-    eps == 0 counts nothing. Rows are searched in value order, which keeps
-    the memory reads local. Each row's count depends only on its own value
-    and radius and goes back to its own index, so the order of tied rows
-    in the sort does not matter and no stable sort is needed.
+    ordered is values[order], order an argsort of values; eps and the
+    counts follow values. Binary search over the sorted distinct values u
+    for the window [x - eps, x + eps], then an exact fix-up of both edges.
+    fl(u - x) is monotone in u, so the values passing |u - x| < eps form
+    one run that holds x itself when eps > 0. Searching the rounded bounds
+    inclusively can only take in extra values at the edges, never miss one
+    inside (a u beyond fl(x + eps) has u - x > eps exactly, and eps is a
+    float), so each edge steps inwards until its distinct value passes. A
+    row with eps == 0 counts nothing. Rows are searched in value order,
+    which keeps the memory reads local. Each row's count depends only on
+    its own value and radius and goes back to its own index, so the order
+    of tied rows in the sort does not matter and no stable sort is needed.
     """
-    order = np.argsort(values)
-    ordered = values[order]
     first = _runs(ordered)
     u = ordered[first]
-    below = np.concatenate((np.flatnonzero(first), [values.size]))
+    below = np.concatenate((np.flatnonzero(first), [ordered.size]))
     radius = eps[order]
     live = radius > 0.0
     x = ordered[live]
@@ -583,7 +576,7 @@ def _count_within(values: np.ndarray, eps: np.ndarray) -> np.ndarray:
         if not out.any():
             break
         hi -= out
-    counts = np.zeros(values.size, dtype=np.int64)
+    counts = np.zeros(ordered.size, dtype=np.int64)
     counts[order[live]] = below[hi] - below[lo] - 1
     return counts
 
@@ -605,15 +598,14 @@ def mi_continuous_detailed(
     px = _jittered(x, cfg)
     py = _jittered(y, cfg)
 
-    joint = np.column_stack([px, py])
-    tree = cKDTree(joint)
-    eps = tree.query(joint, k=[cfg.k + 1], p=np.inf)[0][:, 0]
+    tree = cKDTree(px, py)
+    eps = tree.query(cfg.k)
 
     # eps == 0 (>= k+1 coincident joint points) counts no marginal
     # neighbours and is reported through the deterministic-relation
     # diagnostic.
-    nx = _count_within(px, eps)
-    ny = _count_within(py, eps)
+    nx = _count_within(tree.x_sorted, tree.by_x, eps)
+    ny = _count_within(tree.y_sorted, tree.by_y, eps)
 
     mean_psi = math.fsum(_digamma_each(nx + 1) + _digamma_each(ny + 1)) / n
     value = digamma(cfg.k) + digamma(n) - mean_psi
@@ -660,7 +652,8 @@ def mi_classwise(
     # values and eps stay row-aligned.
     values = np.concatenate(classes)
     eps = np.concatenate([_kth_gap(c, int(k)) for c, k in zip(classes, ks)])
-    m = _count_within(values, eps) + 1
+    order = np.argsort(values)
+    m = _count_within(values[order], order, eps) + 1
     n = values.size
     if ks.min() == cfg.k:
         psi_k = digamma(cfg.k)

@@ -7,6 +7,7 @@ import pytest
 
 from dmig import Dataset, SampleColumn, gaussian_truth, write_dataset, write_truth
 from dmig.cli import main
+from dmig.synthetic import FAMILIES
 from test_golden import GOLDEN
 
 
@@ -134,7 +135,8 @@ class TestSynth:
         def too_big(spec):
             raise MemoryError
 
-        monkeypatch.setattr(f"dmig.cli.{generator}", too_big)
+        assert FAMILIES[family].__name__ == generator
+        monkeypatch.setitem(FAMILIES, family, too_big)
         out_dir = tmp_path / "new"
         args = ["synth", "--family", family, "--n", "100000000000",
                 "--out-dir", str(out_dir)]
@@ -346,6 +348,27 @@ class TestExitCodes:
         assert main(["plot", str(series), "--x", "mig", "--y", "dmig"]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {series}:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command, suffix", [("eval", ".csv"), ("plot", ".series"),
+                                                 ("oracle", ".truth")])
+    def test_undecodable_byte_is_operational_error(self, tmp_path, capsys, command, suffix):
+        p = ideal_binary(tmp_path)
+        write_truth("gaussian_pair", gaussian_truth(0.8), tmp_path / "d.truth")
+        assert main(["eval", str(p), str(p), "--out", str(tmp_path / "d.series")]) == 0
+        bad = tmp_path / f"d{suffix}"
+        lines = bad.read_bytes().splitlines(keepends=True)
+        bad.write_bytes(b"".join(lines[:2]) + b"\xff" + b"".join(lines[2:]))
+        capsys.readouterr()
+        args = {
+            "eval": [str(p)],
+            "plot": [str(tmp_path / "d.series"), "--x", "mig", "--y", "dmig"],
+            "oracle": [str(p)],
+        }[command]
+        assert main([command, *args]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {bad}:3: not UTF-8 text (")
+        assert captured.err.count("\n") == 1
 
 
 class TestDeterminism:

@@ -231,7 +231,7 @@ class TestDatasetErrors:
         [
             (r"#map (\S+) -> ", r"#map \1 => ", r"d\.csv:3: "),
             (r"(#map [^\n]*\n)", r"\1\1", r"d\.csv:4: "),
-            (r"(?s)\nz1,.*", "\n", r"d\.csv: "),
+            (r"(?s)\nz1,.*", "\n", r"d\.csv:3: missing header row"),
             (r"(?m)^z1,z2,", "z1,z1,", r"d\.csv:4: "),
             (r"(?m)^z1,z2,", "z1,y2,", r"d\.csv:4: "),
             (r"(?m)^z1,z2,", "", r"d\.csv:4: "),
@@ -463,6 +463,15 @@ class TestReportRoundTrip:
         assert "dmig=+inf" in text and "flags=-" in text and "runner_up_dim=none" in text
         assert read_report(p) == rep2
 
+    def test_negative_infinite_dmig(self, tmp_path):
+        rep = small_report(np.random.default_rng(7))
+        first = replace(rep.per_attribute[0], dmig=-math.inf)
+        rep2 = replace(rep, per_attribute=(first, *rep.per_attribute[1:]), mean_dmig=-math.inf)
+        p = tmp_path / "r.report"
+        write_report(rep2, p)
+        assert "dmig=-inf" in p.read_text()
+        assert read_report(p) == rep2
+
     def test_wrong_kind_rejected(self, tmp_path):
         ds = small_dataset(np.random.default_rng(8))
         p = tmp_path / "d.csv"
@@ -525,7 +534,9 @@ class TestReportErrors:
         text, n = re.subn(r"mean_mig [^\n]*\n", "", p.read_text())
         assert n == 1
         p.write_text(text)
-        with pytest.raises(FileFormatError, match=r"r\.report: incomplete"):
+        with pytest.raises(
+            FileFormatError, match=r"r\.report:\d+: incomplete report block, missing mean_mig$"
+        ):
             read_report(p)
 
 
@@ -551,7 +562,7 @@ class TestSeriesErrors:
             (r"epoch 0\n", "epoch zero\n", r"s\.series:3: "),
             (r"epoch 3\n", "epoch 0_3\n", r"s\.series:\d+: "),
             (r"end\n", "end\nstray\n", r"s\.series:\d+: "),
-            (r"(?s)epoch 0\n.*", "", r"s\.series: series contains no epochs"),
+            (r"(?s)epoch 0\n.*", "", r"s\.series:2: series contains no epochs"),
         ],
     )
     def test_malformed_series_raises(self, tmp_path, pattern, replacement, match):
@@ -577,6 +588,14 @@ class TestSeriesErrors:
     def test_unclosed_block_names_its_epoch_line(self, tmp_path):
         p, line = self.epoch_3_line(tmp_path, lambda text: text.removesuffix("end\n"))
         with pytest.raises(FileFormatError, match=rf"s\.series:{line}: epoch 3 block missing 'end'"):
+            read_series(p)
+
+    def test_empty_block_names_its_epoch_line(self, tmp_path):
+        p, line = self.epoch_3_line(tmp_path, lambda text: text.replace("epoch 3\n", "epoch 3\nend\n"))
+        with pytest.raises(
+            FileFormatError,
+            match=rf"s\.series:{line}: incomplete report block, missing digest, config, ",
+        ):
             read_series(p)
 
     def test_non_increasing_epoch_names_its_line(self, tmp_path):
@@ -630,7 +649,7 @@ class TestTruthErrors:
         text, n = re.subn(r"h_a2 [^\n]*\n", "", p.read_text())
         assert n == 1
         p.write_text(text)
-        with pytest.raises(FileFormatError, match=r"t\.truth: truth sidecar missing"):
+        with pytest.raises(FileFormatError, match=r"t\.truth:\d+: truth sidecar missing 'h_a2' line"):
             read_truth(p)
 
 
@@ -659,3 +678,117 @@ class TestRandomizedRoundTrips:
                 p = tmp_path / f"{i}.series"
                 write_series(series, p)
                 assert read_series(p) == series
+
+
+def valid_file(kind, path):
+    """Write a valid file of one format to path; return its reader."""
+    rng = np.random.default_rng(41)
+    if kind == "dataset":
+        write_dataset(small_dataset(rng, n=3, d=3, m=2), path)
+        return read_dataset
+    if kind == "report":
+        write_report(small_report(rng), path)
+        return read_report
+    if kind == "series":
+        write_series([(0, small_report(rng)), (2, small_report(rng))], path)
+        return read_series
+    write_truth("discrete_joint", discrete_truth(((0.4, 0.1), (0.1, 0.4))), path)
+    return read_truth
+
+
+KINDS = ["dataset", "report", "series", "truth"]
+
+
+class TestUndecodableBytes:
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_bad_byte_names_its_line(self, tmp_path, kind):
+        p = tmp_path / f"f.{kind}"
+        read = valid_file(kind, p)
+        lines = p.read_bytes().splitlines(keepends=True)
+        # "\r\n" and a lone "\r" each end one line, as in str.splitlines.
+        lines[0] = lines[0].replace(b"\n", b"\r\n")
+        lines[1] = lines[1].replace(b"\n", b"\r")
+        cases = [
+            (3, [*lines[:2], lines[2][:3] + b"\xff" + lines[2][3:], *lines[3:]]),
+            (4, [*lines[:3], b"\x85\n", *lines[3:]]),
+            # A multi-byte sequence cut off at the end of the file.
+            (len(lines), [*lines[:-1], lines[-1].rstrip(b"\n") + b"\xc3"]),
+        ]
+        for line, broken in cases:
+            p.write_bytes(b"".join(broken))
+            with pytest.raises(FileFormatError) as err:
+                read(p)
+            assert str(err.value).startswith(f"{p}:{line}: not UTF-8 text (")
+
+
+# Bytes that a mutation writes in place of another: the undecodable \xff,
+# \x85 (NEL when decoded, a stray continuation byte here), the line breaks
+# \r and \x0b, and the separators of the formats.
+FUZZ_BYTES = [b"\xff", b"\x85", b"\r", b"\x0b", b"=", b",", b"#", b" ", b"\n", b"-", b"0"]
+TOKEN = re.compile(rb"[^ ,=\r\n]+")
+
+
+def mutate_bytes(text: bytes, data) -> bytes:
+    """text after one mutation drawn from data: a cut, a line or a byte edit, a token swap."""
+    op = data.draw(st.sampled_from(["cut", "drop", "duplicate", "insert", "replace", "swap"]))
+    if op == "cut":
+        return text[:data.draw(st.integers(0, len(text)))]
+    if op == "replace":
+        i = data.draw(st.integers(0, len(text) - 1))
+        new = data.draw(st.sampled_from(FUZZ_BYTES) | st.binary(min_size=1, max_size=1))
+        return text[:i] + new + text[i + 1:]
+    if op == "swap":
+        spans = [m.span() for m in TOKEN.finditer(text)]
+        if len(spans) < 2:
+            return text
+        i, j = sorted(data.draw(st.lists(
+            st.integers(0, len(spans) - 1), min_size=2, max_size=2, unique=True
+        )))
+        (a, b), (c, d) = spans[i], spans[j]
+        return text[:a] + text[c:d] + text[b:c] + text[a:b] + text[d:]
+    lines = text.splitlines(keepends=True)
+    i = data.draw(st.integers(0, len(lines) - 1))
+    if op == "drop":
+        del lines[i]
+    elif op == "duplicate":
+        lines.insert(i, lines[i])
+    else:
+        new = data.draw(st.sampled_from(lines) | st.binary(max_size=12).map(lambda b: b + b"\n"))
+        lines.insert(data.draw(st.integers(0, len(lines))), new)
+    return b"".join(lines)
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    """Per format: a path, its reader, and a valid file's bytes to mutate and to keep.
+
+    Dataset bodies have their own property (TestDatasetBodyFuzz), so a
+    dataset's head - its #format, #kind and #map lines and its header -
+    is mutated, and its body rows are kept.
+    """
+    d = tmp_path_factory.mktemp("fuzz")
+    files = {}
+    for kind in KINDS:
+        p = d / f"f.{kind}"
+        read = valid_file(kind, p)
+        lines = p.read_bytes().splitlines(keepends=True)
+        n = [line[:3] for line in lines].index(b"z1,") + 1 if kind == "dataset" else len(lines)
+        files[kind] = (p, read, b"".join(lines[:n]), b"".join(lines[n:]))
+    return files
+
+
+class TestReaderFuzz:
+    @pytest.mark.parametrize("kind", KINDS)
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_mutation_returns_or_names_a_line(self, fuzz_files, kind, data):
+        # Each reader, given a valid file after one or two mutations,
+        # returns or raises FileFormatError naming a line.
+        p, read, head, body = fuzz_files[kind]
+        for _ in range(data.draw(st.integers(1, 2))):
+            head = mutate_bytes(head, data) or b"\n"
+        p.write_bytes(head + body)
+        try:
+            read(p)
+        except FileFormatError as exc:
+            assert re.match(rf"{re.escape(str(p))}:\d+: ", str(exc)), str(exc)

@@ -3,6 +3,7 @@
 The SVG bytes of real series are frozen through the CLI (test_cli.py).
 """
 
+import math
 import re
 from xml.etree import ElementTree
 
@@ -115,3 +116,12 @@ def test_legend_escapes_markup_in_names():
     root = ElementTree.fromstring(render_series_scatter(series, SPEC))
     texts = [el.text for el in root.iter("{http://www.w3.org/2000/svg}text")]
     assert texts[-2:] == ["ap<q", "ar&s"]
+
+
+def test_all_points_non_finite_still_plots():
+    # No finite point leaves no value to range an axis over.
+    series = [(t, report(("p", math.nan, math.inf), ("q", -math.inf, 0.5))) for t in (0, 1)]
+    svg = render_series_scatter(series, PlotSpec(x_metric="mig", y_metric="dmig"))
+    ElementTree.fromstring(svg)
+    assert "<!-- skipped 4 non-finite points -->" in svg
+    assert "nan" not in svg and "inf" not in svg
