@@ -380,6 +380,9 @@ def _parse_kv(text: str, where: str, fields: dict) -> dict[str, object]:
 
 
 def _report_body(report: MetricReport, path: str | Path) -> list[str]:
+    if not report.per_attribute:
+        # read_report requires an attribute line.
+        raise FileFormatError(f"{path}: a report needs at least one attribute")
     lines = [
         f"digest {report.dataset_digest}",
         f"config {_kv_text(report.config_echo, _CONFIG_FIELDS)}",
@@ -451,6 +454,9 @@ def _check_epochs(epochs: list[int], where: list[str]) -> None:
 
 
 def write_series(series: list[tuple[int, MetricReport]], path: str | Path) -> None:
+    if not series:
+        # read_series requires an epoch.
+        raise FileFormatError(f"{path}: a series needs at least one epoch")
     _check_epochs([t for t, _ in series], [str(path)] * len(series))
     lines = []
     for t, report in series:

@@ -510,7 +510,7 @@ def entropy_continuous(a: SampleColumn, cfg: EstimatorConfig) -> float:
     pts = _jittered(a, cfg)
     if float(np.std(pts)) == 0.0:
         raise DegenerateSampleError("zero-variance column after jitter")
-    eps = _kth_gap(pts, cfg.k)
+    eps = _kth_gap(np.sort(pts), cfg.k)
     if np.any(eps == 0.0):
         raise DegenerateSampleError(
             "coincident samples: k-th neighbor distance is zero, "
@@ -520,25 +520,32 @@ def entropy_continuous(a: SampleColumn, cfg: EstimatorConfig) -> float:
     return digamma(n) - digamma(cfg.k) + math.fsum(np.log(2.0 * eps)) / n
 
 
-def _kth_gap(values: np.ndarray, k: int) -> np.ndarray:
-    """Distance from each value to its k-th nearest other value, in value order.
+def _kth_gap(ordered: np.ndarray, k: int) -> np.ndarray:
+    """Distance from each value of a sorted array to its k-th nearest other value.
 
     In 1-D the k nearest others of a point lie among its k left and k
     right neighbours in sorted order, and fl(b - a) is monotone in both
     a and b, so the k-th smallest of those 2k gaps equals the kd-tree's
-    k-th neighbour distance bit for bit. Padding with k infinities on
-    each side makes every gap defined; with at least k + 1 values the
-    result is finite. Rows come out sorted by value, not in input order.
+    k-th neighbour distance bit for bit. The left gaps L_1..L_k grow with
+    the step, and so do the right gaps R_1..R_k, so the k-th smallest of
+    the two runs is min over i = 0..k of max(L_i, R_(k-i)), with
+    L_0 = R_0 = -inf: k + 1 elementwise passes in O(n) memory. Padding
+    with k infinities on each side makes every gap defined; with at least
+    k + 1 values the result is finite. The radii follow ordered.
     """
-    n = values.size
+    n = ordered.size
     inf = np.full(k, np.inf)
-    padded = np.concatenate((-inf, np.sort(values), inf))
+    padded = np.concatenate((-inf, ordered, inf))
     mid = padded[k:k + n]
-    gaps = np.empty((n, 2 * k))
-    for j in range(1, k + 1):
-        gaps[:, j - 1] = mid - padded[k - j:k - j + n]
-        gaps[:, k + j - 1] = padded[k + j:k + j + n] - mid
-    return np.partition(gaps, k - 1, axis=1)[:, k - 1]
+    out = padded[2 * k:] - mid                     # i = 0: R_k
+    np.minimum(out, mid - padded[:n], out=out)     # i = k: L_k
+    left, right = np.empty(n), np.empty(n)
+    for i in range(1, k):
+        np.subtract(mid, padded[k - i:k - i + n], out=left)
+        np.subtract(padded[2 * k - i:2 * k - i + n], mid, out=right)
+        np.maximum(left, right, out=left)
+        np.minimum(out, left, out=out)
+    return out
 
 
 def _count_within(ordered: np.ndarray, order: np.ndarray, eps: np.ndarray) -> np.ndarray:
@@ -633,35 +640,63 @@ def mi_classwise(
     them. Where KSG's k joint neighbours of every point lie in the point's
     own class, KSG counts the same N_c and m_i up to its jitter of the
     codes, and the reduction runs in KSG's order, so the two mostly agree
-    bit for bit.
+    bit for bit. This is the one-partner case of _classwise_row, which
+    mi_profile runs once per discrete column for all its continuous
+    partners.
     """
     _require_samples(_require_aligned(x, y), cfg.k)
     codes, cont = (x, y) if x.kind == DISCRETE else (y, x)
     _require_kind(codes, DISCRETE, "mi_classwise")
     _require_kind(cont, CONTINUOUS, "mi_classwise")
-    pts = _jittered(cont, cfg)
-    order = np.lexsort((pts, codes.values))
-    ordered = codes.values[order]
-    bounds = np.flatnonzero(ordered[1:] != ordered[:-1]) + 1
-    classes = [c for c in np.split(pts[order], bounds) if c.size > 1]
-    if not classes:
+    return _classwise_row(codes, [cont], cfg)[0]
+
+
+def _classwise_row(
+    codes: SampleColumn, partners: list[SampleColumn], cfg: EstimatorConfig
+) -> list[MIEstimate]:
+    """mi_classwise of one discrete column against each continuous partner.
+
+    Everything that depends on the codes alone is done once: the stable
+    argsort that lists the rows class by class, the drop of singleton
+    classes, k_c, psi(N_c), psi(k) and psi(N). Each partner is then
+    gathered into that order and sorted within each class, which gives
+    the same values, class by class in value order, as a lexsort of
+    (values, codes) would; the k-th gaps, the marginal counts and the
+    fsum reduction follow unchanged. Partners are taken one at a time, so
+    memory stays at a few columns whatever their number. The caller has
+    checked that every column is aligned and of its kind and that N > k.
+    """
+    order = np.argsort(codes.values, kind="stable")
+    starts = np.flatnonzero(_runs(codes.values[order]))
+    sizes = np.diff(np.append(starts, order.size))
+    keep = sizes > 1
+    if not keep.any():
         raise DegenerateSampleError("class-wise MI needs a class of at least 2 samples")
-    sizes = np.array([c.size for c in classes])
+    order = order[np.repeat(keep, sizes)]
+    sizes = sizes[keep]
     ks = np.minimum(cfg.k, sizes - 1)
-    # Each class is in value order, the order of _kth_gap's radii, so
-    # values and eps stay row-aligned.
-    values = np.concatenate(classes)
-    eps = np.concatenate([_kth_gap(c, int(k)) for c, k in zip(classes, ks)])
-    order = np.argsort(values)
-    m = _count_within(values[order], order, eps) + 1
-    n = values.size
+    ends = np.cumsum(sizes)
+    classes = list(zip((ends - sizes).tolist(), ends.tolist(), ks.tolist()))
+    n = order.size
     if ks.min() == cfg.k:
         psi_k = digamma(cfg.k)
     else:
         psi_k = math.fsum(sizes * _digamma_each(ks)) / n
-    mean_psi = math.fsum(_digamma_each(np.repeat(sizes, sizes)) + _digamma_each(m)) / n
-    value = psi_k + digamma(n) - mean_psi
-    return MIEstimate(value=value, deterministic_relation=bool(np.any(eps == 0.0)))
+    psi_n = digamma(n)
+    psi_sizes = _digamma_each(np.repeat(sizes, sizes))
+    row = []
+    for cont in partners:
+        values = _jittered(cont, cfg)[order]
+        eps = np.empty(n)
+        for lo, hi, k in classes:
+            values[lo:hi].sort()
+            eps[lo:hi] = _kth_gap(values[lo:hi], k)
+        by_value = np.argsort(values)
+        m = _count_within(values[by_value], by_value, eps) + 1
+        mean_psi = math.fsum(psi_sizes + _digamma_each(m)) / n
+        row.append(MIEstimate(value=psi_k + psi_n - mean_psi,
+                              deterministic_relation=bool(np.any(eps == 0.0))))
+    return row
 
 
 def mi_discrete(x: SampleColumn, y: SampleColumn) -> float:

@@ -528,6 +528,17 @@ class TestReportErrors:
         with pytest.raises(FileFormatError, match="unusable attribute name None"):
             write_report(nameless, tmp_path / "r.report")
 
+    def test_report_without_attributes_rejected_on_write(self, tmp_path):
+        # read_report would reject the block that such a report writes.
+        rep = replace(small_report(np.random.default_rng(14)), per_attribute=())
+        p = tmp_path / "r.report"
+        match = r"r\.report: a report needs at least one attribute$"
+        with pytest.raises(FileFormatError, match=match):
+            write_report(rep, p)
+        with pytest.raises(FileFormatError, match="needs at least one attribute"):
+            write_series([(0, rep)], tmp_path / "s.series")
+        assert list(tmp_path.iterdir()) == []
+
     def test_incomplete_block_names_the_file(self, tmp_path):
         p = tmp_path / "r.report"
         write_report(small_report(np.random.default_rng(11)), p)
@@ -547,6 +558,14 @@ class TestSeriesRoundTrip:
         p = tmp_path / "s.series"
         write_series(series, p)
         assert read_series(p) == series
+
+    def test_empty_series_rejected_on_write(self, tmp_path):
+        # read_series would reject the file: it needs an epoch line.
+        p = tmp_path / "s.series"
+        match = r"s\.series: a series needs at least one epoch$"
+        with pytest.raises(FileFormatError, match=match):
+            write_series([], p)
+        assert not p.exists()
 
     def test_non_increasing_epochs_rejected(self, tmp_path):
         rng = np.random.default_rng(10)

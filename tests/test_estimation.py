@@ -32,6 +32,7 @@ from dmig import (
     mi_profile,
     spearman,
 )
+from dmig import estimation
 from dmig.estimation import (
     _count_within,
     _digamma_each,
@@ -239,7 +240,8 @@ def classwise_reference(codes, z, k):
     for i in keep:
         same = sorted(abs(z[j] - z[i]) for j in keep if j != i and codes[j] == codes[i])
         k_c = min(k, len(same))
-        m = sum(1 for j in keep if abs(z[j] - z[i]) < same[k_c - 1])
+        # i itself counts, also where the k-th distance is 0 (ties).
+        m = 1 + sum(1 for j in keep if j != i and abs(z[j] - z[i]) < same[k_c - 1])
         terms.append((scipy_digamma(k_c), scipy_digamma(size[codes[i]]), scipy_digamma(m)))
     psi_k, psi_nc, psi_m = np.mean(terms, axis=0)
     return scipy_digamma(len(keep)) + psi_k - psi_nc - psi_m
@@ -293,6 +295,48 @@ class TestMiClasswise:
         z = cont(np.repeat([0.0, 1.0, 2.0, 3.0], 10))
         est = mi_classwise(codes, z, EstimatorConfig(jitter=0.0))
         assert est.deterministic_relation and math.isfinite(est.value)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        st.integers(min_value=0, max_value=2**31 - 1),
+        st.integers(min_value=1, max_value=4),
+        st.sampled_from([0.0, 1e-10]),
+        st.booleans(),
+        st.integers(min_value=0, max_value=4),
+    )
+    def test_profile_rows_equal_single_pairs(self, seed, k, jitter, singleton, small):
+        # mi_profile runs the class-wise pairs of a discrete column as one
+        # row: here attribute a against z1, z3 and attribute b, and each
+        # discrete latent against b. Singleton classes, classes of
+        # N_c <= k and, at jitter 0, ties within a class (eps == 0) occur.
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(12, 50))
+        a = rng.integers(0, 3, n).astype(float)
+        a[1:1 + small] = 5.0
+        if singleton:
+            a[0] = 7.0
+        b = rng.standard_normal(n)
+        z1, z3 = np.round(a + rng.standard_normal((2, n)), 1) + 0.25
+        z2 = rng.integers(0, 4, n).astype(float)
+        z4 = rng.integers(0, 2, n).astype(float)
+        z4[-1] = 9.0
+        ds = Dataset(
+            latents=np.column_stack([z1, z2, z3, z4]), attributes=(disc(a), cont(b))
+        )
+        assert ds.latent_kinds == ("continuous", "discrete") * 2
+        cfg = EstimatorConfig(k=k, jitter=jitter)
+        p = mi_profile(ds, cfg)
+        rows = [(a, z1, p.mi_raw[0, 0]), (a, z3, p.mi_raw[0, 2]), (a, b, None),
+                (z2, b, p.mi_raw[1, 1]), (z4, b, p.mi_raw[1, 3])]
+        for codes, z, got in rows:
+            est = mi_classwise(disc(codes), cont(z), cfg).value
+            if got is None:
+                assert p.h_cond[0, 1] == entropy_discrete(disc(a)) - est
+                assert p.h_cond[1, 0] == entropy_continuous(cont(b), cfg) - est
+            else:
+                assert got == est
+            ref = classwise_reference(codes, _jittered(cont(z), cfg), k)
+            assert est == pytest.approx(ref, abs=1e-12)
 
     @pytest.mark.parametrize(
         "x, y, error",
@@ -410,7 +454,24 @@ class TestKthGap:
         else:
             pts = rng.integers(0, 4, n).astype(float)
         ref = ScipyTree(pts[:, None]).query(pts[:, None], k=[k + 1], p=np.inf)[0][:, 0]
-        assert np.array_equal(np.sort(_kth_gap(pts, k)), np.sort(ref))
+        order = np.argsort(pts)
+        assert np.array_equal(_kth_gap(pts[order], k), ref[order])
+
+    def test_small_memory_at_large_k(self):
+        # A partitioned gap matrix of N x 2k floats peaked at 122 MiB on this input.
+        values = np.random.default_rng(15).standard_normal(20_000)
+        col, cfg = cont(values), EstimatorConfig(k=200)
+        tracemalloc.start()
+        try:
+            entropy_continuous(col, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+        ordered = np.sort(_jittered(col, cfg))
+        eps = _kth_gap(ordered, 200)
+        for i in np.random.default_rng(16).integers(0, ordered.size, 50):
+            assert eps[i] == np.sort(np.abs(ordered - ordered[i]))[200]
 
     def test_coincident_samples_still_rejected(self):
         # 1.0 occurs three times: its second-nearest other is at distance 0,
@@ -477,6 +538,31 @@ class TestJointSearch:
         far = 1000.0 + 1e-9 * rng.standard_normal((cluster, 2))
         joint = np.vstack([joint_points("gaussian0.5", 2000, 11), far])
         assert np.array_equal(kth_joint(cKDTree, joint, k), kth_joint(ScipyTree, joint, k))
+
+    @pytest.mark.parametrize(
+        "family, k, measured",
+        [
+            ("gaussian0.9", 3, 16.4),
+            ("gaussian0.99995", 3, 13.0),
+            ("outlier", 3, 13.9),
+            ("ties", 3, 23.5),
+            ("ties", 10, 37.1),
+        ],
+    )
+    def test_candidates_per_point_bounded(self, monkeypatch, family, k, measured):
+        # A work count, not a time: the candidate entries that _nearest
+        # scans per point may reach twice the count measured when this
+        # bound was set, so a search that loops over crowded blocks fails.
+        scanned = []
+        nearest = estimation._nearest
+
+        def counted(grid, qx, qy, lo, hi, kth):
+            scanned.append(int((hi - lo).sum()))
+            return nearest(grid, qx, qy, lo, hi, kth)
+
+        monkeypatch.setattr(estimation, "_nearest", counted)
+        cKDTree(*joint_points(family, 8000, 11).T).query(k)
+        assert sum(scanned) / 8000 <= 2 * measured
 
     @pytest.mark.parametrize("family", ["outlier", "ties"])
     def test_exact_in_small_memory_at_25000_points(self, family):

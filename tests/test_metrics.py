@@ -198,6 +198,7 @@ class TestMiProfile:
 
         calls = {"entropy": [], "pair": [], "mi_discrete": []}
         routed = Counter()
+        partitions = []
 
         def counted(fn, kind):
             def wrapper(*args, **kwargs):
@@ -208,6 +209,18 @@ class TestMiProfile:
 
             return wrapper
 
+        classwise_row = estimation._classwise_row
+
+        def row(codes, partners, cfg):
+            # One partition of the codes serves every partner.
+            partitions.append(codes.values.tobytes())
+            for z in partners:
+                calls["pair"].append(frozenset({codes.values.tobytes(), z.values.tobytes()}))
+                routed["classwise"] += 1
+            return classwise_row(codes, partners, cfg)
+
+        for mod in (estimation, metrics):
+            monkeypatch.setattr(mod, "_classwise_row", row)
         for name, kind in (
             ("entropy_discrete", "entropy"),
             ("entropy_continuous", "entropy"),
@@ -229,10 +242,13 @@ class TestMiProfile:
         pairs += [frozenset({key[i], key[j]}) for i in range(3) for j in range(i + 1, 3)]
         assert Counter(calls["pair"]) == Counter(pairs)
         assert len(set(pairs)) == len(pairs) == 15
-        # Exactly one discrete column routes a pair to the class-wise cell.
+        # Exactly one discrete column routes a pair to the class-wise row
+        # of that column, which is partitioned once: a1, a2, z1 and z2.
         assert routed["_joint_entropy_discrete"] == 5
         assert routed["mi_continuous_detailed"] == 2
-        assert routed["mi_classwise"] == 8
+        assert routed["classwise"] == 8
+        assert routed["mi_classwise"] == 0
+        assert sorted(partitions) == sorted(key[:2] + lat_key[:2])
         assert calls["mi_discrete"] == []
 
 
