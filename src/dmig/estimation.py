@@ -138,9 +138,16 @@ class MIEstimate:
 # beyond an edge is at least fl(|point - edge|) away, the same fact that
 # _kth_gap and _count_within rely on. Each point picks its own cell side
 # from the number of points around it, so clusters of ties, thin strips and
-# far outliers each get cells of their own scale.
+# far outliers each get cells of their own scale. Every pass over the
+# points of one grid, the first 3x3 one and each wider one, takes them in
+# cell order, _BATCH at a time, and so does the move of crowded points to
+# a finer grid: the points of a batch lie in few cells and share their
+# blocks, and a batch's arrays, with _nearest's chunks of _CHUNK entries,
+# take a few MiB at most, whatever the number of points. Only the grid
+# and a few words of state per point grow with it.
 _BLOCK_MAX = 64        # a point whose 3x3 block holds more, and more than k, moves finer
 _WIDEST = 11           # widest block half-width tried before a coarser grid
+_BATCH = 1 << 12       # points searched at once
 _CHUNK = 1 << 16       # entries in one candidate matrix
 
 
@@ -187,96 +194,113 @@ class _Grid:
     A cell is keyed by the dense ranks of its column and its row among the
     occupied ones, so keys stay below n**2 whatever the spread of the data.
     The points are sorted by key, so one row of cells in a block is one
-    slice of them.
+    slice of them; cell c holds the points ends[c] to ends[c + 1]. queue
+    lists the rows given to the constructor, the ones to search here, in
+    cell order, and cells their cells. The methods take cells in that
+    order and cost O(cells given), whatever the number of cells in the
+    grid, as repeats of a cell share the work.
     """
 
-    def __init__(self, tree: cKDTree, level: int) -> None:
-        self.side = side = math.ldexp(1.0, level)
-        n = tree.x.size
-        ranks, occupied = [], []
-        for ordered, order in ((tree.x_sorted, tree.by_x), (tree.y_sorted, tree.by_y)):
-            with np.errstate(over="ignore"):
-                cells = np.floor(np.clip(ordered / side, -2.0**60, 2.0**60))
-            first = _runs(cells)
-            rank = np.empty(n, dtype=np.int64)
-            rank[order] = np.cumsum(first) - 1
-            ranks.append(rank)
-            occupied.append(cells[first])
-        self.columns, self.rows = occupied
-        key = ranks[1] * self.columns.size + ranks[0]
+    def __init__(self, tree: cKDTree, level: int, rows: np.ndarray) -> None:
+        self.side = math.ldexp(1.0, level)
+        rank, self.columns = self._ranks(tree.x_sorted, tree.by_x)
+        key, self.rows = self._ranks(tree.y_sorted, tree.by_y)
+        key *= self.columns.size
+        key += rank
+        del rank
         order = np.argsort(key)
-        self.key = key[order]
+        key = key[order]
         # A point at infinity pads short candidate lists.
         self.x = np.append(tree.x[order], np.inf)
         self.y = np.append(tree.y[order], np.inf)
-        first = _runs(self.key)
-        self.cell_key = self.key[first]
-        self.start = np.flatnonzero(first)
-        self.cell = np.empty(n, dtype=np.int64)
-        self.cell[order] = np.cumsum(first) - 1
+        first = _runs(key)
+        self.cell_key = key[first]
+        self.ends = np.append(np.flatnonzero(first), key.size)
+        queued = np.zeros(key.size, dtype=bool)
+        queued[rows] = True
+        queued = queued[order]
+        self.queue = order[queued]
+        self.cells = (np.cumsum(first) - 1)[queued]
 
-    def blocks(self, rows: np.ndarray, h: int):
-        """lo, hi and edges of each row's block of (2h+1)**2 cells.
+    def _ranks(self, ordered: np.ndarray, order: np.ndarray):
+        """Each point's dense rank among the occupied cells of one axis, and those cells."""
+        with np.errstate(over="ignore"):
+            cells = np.floor(np.clip(ordered / self.side, -2.0**60, 2.0**60))
+        first = _runs(cells)
+        rank = np.empty(order.size, dtype=np.int64)
+        rank[order] = np.cumsum(first) - 1
+        return rank, cells[first]
 
-        lo[:, j], hi[:, j] bound the slice of sorted points in the block's
-        j-th row of cells; edges holds its left, right, lower and upper
-        edge. Rows that share a cell share the work.
+    def blocks(self, cells: np.ndarray, h: int):
+        """The blocks of (2h+1)**2 cells around the distinct cells given.
+
+        Returns at, the index of each given cell among the distinct ones,
+        and, for each distinct one, lo, hi and edges: lo[:, j], hi[:, j]
+        bound the slice of sorted points in the block's j-th row of cells,
+        and edges holds its left, right, lower and upper edge.
         """
-        cell = self.cell[rows]
-        used = np.zeros(self.cell_key.size, dtype=bool)
-        used[cell] = True
-        at = (np.cumsum(used) - 1)[cell]
-        key = self.cell_key[used]
+        first = _runs(cells)
+        at = np.cumsum(first) - 1
         ncol = self.columns.size
-        col, row = key % ncol, key // ncol
+        row, col = np.divmod(self.cell_key[cells[first]], ncol)
         cx, cy = self.columns[col], self.rows[row]
-        left = np.searchsorted(self.columns, self.columns - h, "left")[col]
-        right = np.searchsorted(self.columns, self.columns + h, "right")[col]
-        # Each row of cells in use is looked up once (key is sorted), and the
-        # queries go one row of the blocks at a time, in key order, which
-        # keeps them fast; a slice ends where the next cell key starts.
+        left = np.searchsorted(self.columns, cx - h, "left")
+        right = np.searchsorted(self.columns, cx + h, "right")
+        # Each row of cells in use is looked up once (the keys are sorted),
+        # and the queries go one row of the blocks at a time, in key order,
+        # among the cells of the rows they reach, which keeps them fast; a
+        # slice ends where the next cell key starts.
         first = _runs(row)
         of_row = np.cumsum(first) - 1
-        want = self.rows[row[first]] + np.arange(-h, h + 1)[:, None]
+        want = cy[first] + np.arange(-h, h + 1)[:, None]
         r = np.searchsorted(self.rows, want)
         found = (self.rows[np.minimum(r, self.rows.size - 1)] == want)[:, of_row]
         base = r[:, of_row] * ncol
-        ends = np.append(self.start, self.key.size)
-        lo = ends[np.searchsorted(self.cell_key, base + left)]
-        hi = np.where(found, ends[np.searchsorted(self.cell_key, base + right)], lo)
-        lo, hi = lo.T, hi.T
+        a, b = np.searchsorted(self.cell_key, (r[0, 0] * ncol, (r[-1, -1] + 1) * ncol))
+        ends, keys = self.ends[a:], self.cell_key[a:b]
+        lo = ends[np.searchsorted(keys, base + left)]
+        hi = np.where(found, ends[np.searchsorted(keys, base + right)], lo)
         s = self.side
         edges = np.stack(((cx - h) * s, (cx + h + 1) * s, (cy - h) * s, (cy + h + 1) * s), axis=1)
-        return lo[at], hi[at], edges[at]
+        return at, lo.T, hi.T, edges
 
-    def cell_shape(self, rows: np.ndarray):
-        """Point count, width and height of the points in each row's own cell."""
-        start = self.start
-        cell = self.cell[rows]
-        size = np.diff(np.append(start, self.key.size))[cell]
-        x, y = self.x[:-1], self.y[:-1]
-        width = (np.maximum.reduceat(x, start) - np.minimum.reduceat(x, start))[cell]
-        height = (np.maximum.reduceat(y, start) - np.minimum.reduceat(y, start))[cell]
-        return size, width, height
+    def cell_shape(self, cells: np.ndarray):
+        """Point count, width and height of the points in each cell."""
+        first = _runs(cells)
+        at = np.cumsum(first) - 1
+        cell = cells[first]
+        # Even entries reduce over the cells' points; odd ones are dropped.
+        bounds = np.column_stack((self.ends[cell], self.ends[cell + 1])).ravel()
+        size = np.diff(bounds)[::2]
+        width, height = (
+            np.maximum.reduceat(v, bounds)[::2] - np.minimum.reduceat(v, bounds)[::2]
+            for v in (self.x, self.y)
+        )
+        return size[at], width[at], height[at]
 
 
 def _nearest(grid: _Grid, qx, qy, lo, hi, kth: int) -> np.ndarray:
     """The (kth + 1)-th smallest distance from (qx, qy) to the points of lo..hi.
 
     Rows are taken in order of their candidate count, in chunks of at most
-    _CHUNK entries, so one crowded row widens only its own chunk. Each row
-    lists its slices, then points past the end, which take the last point
-    (the one at infinity) as padding.
+    _CHUNK entries, of which at most _CHUNK // 16 pad rows to the chunk's
+    widest, so one crowded row widens only its own chunk. Each row lists
+    its slices, then points past the end, which take the last point (the
+    one at infinity) as padding.
     """
     out = np.empty(qx.size)
     counts = hi - lo
     count = counts.sum(1)
     order = np.argsort(count)
     ordered = count[order]
+    before = np.append(0, np.cumsum(ordered))
     i = 0
     while i < order.size:
-        j = min(order.size, i + max(1, _CHUNK // max(int(ordered[i]), 1)))
-        j = min(j, i + max(1, _CHUNK // max(int(ordered[j - 1]), 1)))
+        # Both the entries and the padding grow with the chunk.
+        size = np.arange(1, min(order.size - i, _CHUNK) + 1)
+        entries = size * ordered[i:i + size.size]
+        padding = entries - (before[i + 1:i + size.size + 1] - before[i])
+        j = i + max(1, np.count_nonzero((entries <= _CHUNK) & (padding <= _CHUNK // 16)))
         rows = order[i:j]
         width = max(int(ordered[j - 1]), kth + 1)
         lengths = np.column_stack((counts[rows], width - count[rows])).ravel()
@@ -297,6 +321,37 @@ def _nearest(grid: _Grid, qx, qy, lo, hi, kth: int) -> np.ndarray:
     return out
 
 
+def _search(tree: cKDTree, grid: _Grid, rows: np.ndarray, cells: np.ndarray,
+            h: int, kth: int, out: np.ndarray, most=None):
+    """One pass over rows, in cell order, with blocks of (2h+1)**2 cells.
+
+    A row whose block holds at least kth + 1 points, or all of them, and
+    no more than most (where given) is searched there; where the block
+    reaches its distance on all four sides, the distance is exact and
+    goes to out. Rows go _BATCH at a time. Returns each row's block count
+    and whether its distance was found.
+    """
+    n = tree.x.size
+    count = np.empty(rows.size, dtype=np.int64)
+    found = np.zeros(rows.size, dtype=bool)
+    for i in range(0, rows.size, _BATCH):
+        at, lo, hi, edges = grid.blocks(cells[i:i + _BATCH], h)
+        count[i:i + _BATCH] = c = (hi - lo).sum(1)[at]
+        full = (c > kth) | (c == n)
+        if most is not None:
+            full &= c <= most[i:i + _BATCH]
+        part, at = rows[i:i + _BATCH][full], at[full]
+        x, y = tree.x[part], tree.y[part]
+        eps = _nearest(grid, x, y, lo[at], hi[at], kth)
+        e = edges[at]
+        exact = (c[full] == n) | (
+            (eps <= x - e[:, 0]) & (eps <= e[:, 1] - x) & (eps <= y - e[:, 2]) & (eps <= e[:, 3] - y)
+        )
+        out[part[exact]] = eps[exact]
+        found[i:i + _BATCH][full] = exact
+    return count, found
+
+
 def _start_level(tree: cKDTree, k: int) -> int:
     """A level whose cells hold about k points at a typical density.
 
@@ -313,7 +368,17 @@ def _start_level(tree: cKDTree, k: int) -> int:
 
 
 def _kth_distances(tree: cKDTree, kth: int) -> np.ndarray:
-    """The distance from each point to its (kth + 1)-th nearest."""
+    """The distance from each point to its (kth + 1)-th nearest.
+
+    The points go through grids in rounds, one level's grid at a time. On
+    each, they run passes of widening blocks through _search, in cell
+    order and _BATCH points at a time; a point in a crowded block moves to
+    a finer grid, also _BATCH at a time, and one whose widest block holds
+    fewer than kth + 1 points to a coarser one. So the memory is one
+    grid, a few words of state per point (about 160 bytes a point in all
+    on a Gaussian pair) and one batch's arrays, which do not grow with the
+    number of points.
+    """
     n = tree.x.size
     k = kth + 1
     out = np.empty(n)
@@ -324,54 +389,53 @@ def _kth_distances(tree: cKDTree, kth: int) -> np.ndarray:
     floor = np.maximum(_exponent(norm) - 52, -1022)
     level = np.clip(_start_level(tree, k), floor, top)
     sparse_at = floor - 1                # finest level known to hold too few
+    del norm, floor
     dense_at = np.full(n, top + 1)       # coarsest level known to hold too many
     moves = np.zeros(n, dtype=np.int64)
     pending = np.arange(n)
     while pending.size:
         moved = []
         levels = level[pending]
-        for lv in np.unique(levels):
-            grid = _Grid(tree, int(lv))
-            rows = pending[levels == lv]
-            lo, hi, edges = grid.blocks(rows, 1)
-            count = (hi - lo).sum(1)
-            # A crowded block moves to a finer grid, unless searching it
-            # here costs less than building one. It holds more than k
-            # points, so a row sent back here is never short.
-            dense = (count > max(_BLOCK_MAX, k)) & (sparse_at[rows] < lv - 1)
-            if count[dense].sum() <= n:
-                dense[:] = False
-            if dense.any():
-                crowded = rows[dense]
-                size, width, height = grid.cell_shape(crowded)
-                # >= k coincident points: the kth distance is 0.
-                same = (size >= k) & (width == 0) & (height == 0)
-                out[crowded[same]] = 0.0
-                # The finer side comes from the density of the block, or of
-                # the row's own cell where that holds k points.
-                guess = 1.5 * grid.side * np.sqrt(k / count[dense])
-                with np.errstate(over="ignore", invalid="ignore"):
-                    own = 0.5 * np.maximum(np.sqrt(k * width * height / size),
-                                           k * np.maximum(width, height) / size)
-                guess = np.where(size >= k, np.minimum(guess, own), guess)[~same]
-                crowded = crowded[~same]
-                dense_at[crowded] = lv
-                level[crowded] = np.clip(_exponent(guess), sparse_at[crowded] + 1, lv - 1)
-                moved.append(crowded)
-                rows, lo, hi, edges, count = (a[~dense] for a in (rows, lo, hi, edges, count))
+        low = int(levels.min())
+        for lv in (np.flatnonzero(np.bincount(levels - low)) + low).tolist():
+            grid = _Grid(tree, lv, pending[levels == lv])
+            rows, cells = grid.queue, grid.cells
+            # A crowded block moves to a finer grid, unless searching all of
+            # them here costs less than building one. That is known after
+            # the last batch, so the first pass leaves them out. A crowded
+            # block holds more than k points, so no row searched here is short.
+            most = np.where(sparse_at[rows] < lv - 1, max(_BLOCK_MAX, k), n)
+            count, found = _search(tree, grid, rows, cells, 1, kth, out, most)
+            dense = count > most
+            del most
+            if dense.any() and count[dense].sum() <= n:
+                count[dense], found[dense] = _search(tree, grid, rows[dense], cells[dense], 1, kth, out)
+            elif dense.any():
+                crowded = np.flatnonzero(dense)
+                for i in range(0, crowded.size, _BATCH):
+                    sel = crowded[i:i + _BATCH]
+                    part = rows[sel]
+                    size, width, height = grid.cell_shape(cells[sel])
+                    # >= k coincident points: the kth distance is 0.
+                    same = (size >= k) & (width == 0) & (height == 0)
+                    out[part[same]] = 0.0
+                    # The finer side comes from the density of the block, or
+                    # of the row's own cell where that holds k points.
+                    guess = 1.5 * grid.side * np.sqrt(k / count[sel])
+                    with np.errstate(over="ignore", invalid="ignore"):
+                        own = 0.5 * np.maximum(np.sqrt(k * width * height / size),
+                                               k * np.maximum(width, height) / size)
+                    guess = np.where(size >= k, np.minimum(guess, own), guess)[~same]
+                    part = part[~same]
+                    dense_at[part] = lv
+                    level[part] = np.clip(_exponent(guess), sparse_at[part] + 1, lv - 1)
+                    moved.append(part)
+                found |= dense
             h = 1
-            while rows.size:
-                if h > 1:
-                    lo, hi, edges = grid.blocks(rows, h)
-                    count = (hi - lo).sum(1)
-                full = (count >= k) | (count == n)
-                x, y = tree.x[rows[full]], tree.y[rows[full]]
-                eps = _nearest(grid, x, y, lo[full], hi[full], kth)
-                e = edges[full]
-                exact = (count[full] == n) | (
-                    (eps <= x - e[:, 0]) & (eps <= e[:, 1] - x) & (eps <= y - e[:, 2]) & (eps <= e[:, 3] - y)
-                )
-                out[rows[full][exact]] = eps[exact]
+            while True:
+                rows, cells, count = rows[~found], cells[~found], count[~found]
+                if not rows.size:
+                    break
                 # A row whose k-th point may lie beyond its block tries a
                 # block one ring wider or more, which is then exact: eps is
                 # below (h + 1) cell sides, and that block reaches so far.
@@ -379,6 +443,7 @@ def _kth_distances(tree: cKDTree, kth: int) -> np.ndarray:
                 # five levels up, where the 3x3 block covers the widest.
                 # Repeated moves double; a row that reaches a level known
                 # to be crowded, or the top, is searched there.
+                full = (count >= k) | (count == n)
                 short = rows[~full]
                 h = 2 * h + 1 if h > 1 else 2
                 if h > _WIDEST and short.size:
@@ -390,8 +455,9 @@ def _kth_distances(tree: cKDTree, kth: int) -> np.ndarray:
                     level[short] = np.where(stop, cap, up)
                     sparse_at[short[stop]] = cap[stop] - 1
                     moved.append(short)
-                    short = short[:0]
-                rows = np.concatenate((short, rows[full][~exact]))
+                    rows, cells = rows[full], cells[full]
+                count, found = _search(tree, grid, rows, cells, h, kth, out)
+            del grid    # before the next level's grid is built
         pending = np.concatenate(moved) if moved else pending[:0]
     return out
 

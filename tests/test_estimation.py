@@ -513,15 +513,22 @@ class TestJointSearch:
     @given(
         st.integers(min_value=0, max_value=2**31 - 1),
         st.sampled_from(
-            ["gaussian0.5", "gaussian0.96", "gaussian0.999", "rounded", "codes", "outlier"]
+            ["gaussian0.5", "gaussian0.96", "gaussian0.999", "rounded", "codes", "ties", "outlier"]
         ),
         st.integers(min_value=1, max_value=5),
         st.data(),
     )
     def test_equal_to_kdtree(self, seed, family, k, data):
-        # Up to 3000 points, so that points also move between grids.
+        # Up to 3000 points, so that points also move between grids. Half
+        # the draws search a few dozen points at a time, so that first
+        # passes, wider blocks and the points moved to another grid span
+        # several batches (ties move all of theirs to a finer grid).
         joint = joint_points(family, data.draw(st.integers(k + 1, 3000)), seed)
-        assert np.array_equal(kth_joint(cKDTree, joint, k), kth_joint(ScipyTree, joint, k))
+        with pytest.MonkeyPatch.context() as patch:
+            if data.draw(st.booleans()):
+                patch.setattr(estimation, "_BATCH", data.draw(st.integers(16, 64)))
+            got = kth_joint(cKDTree, joint, k)
+        assert np.array_equal(got, kth_joint(ScipyTree, joint, k))
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.tuples(MAGNITUDE, MAGNITUDE), min_size=2, max_size=80), st.data())
@@ -567,6 +574,7 @@ class TestJointSearch:
     @pytest.mark.parametrize("family", ["outlier", "ties"])
     def test_exact_in_small_memory_at_25000_points(self, family):
         # The far point and the tie clusters each need grids of their own.
+        # 1.5 times the 5.8 MiB peak measured on ties.
         joint = joint_points(family, 25_000, 5)
         tracemalloc.start()
         try:
@@ -574,8 +582,21 @@ class TestJointSearch:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 32 * 2**20
+        assert peak < 8.7 * 2**20
         assert np.array_equal(got, kth_joint(ScipyTree, joint, 3))
+
+    def test_small_memory_at_25000_points(self):
+        # Passes over all points at once peaked at 10.2 MiB here; batches
+        # of _BATCH points in cell order peak at 5.2 MiB, and the bound is
+        # 1.5 times that.
+        x, y = joint_points("gaussian0.9", 25_000, 5).T
+        tracemalloc.start()
+        try:
+            cKDTree(x, y).query(3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 7.9 * 2**20
 
 
 class TestMiDiscrete:
