@@ -22,8 +22,10 @@ a synthetic family.
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
+from collections.abc import Iterable, Iterator
 from pathlib import Path
 from typing import get_args
 
@@ -52,6 +54,9 @@ _TOKEN_TO_KIND = {token: kind for kind, token in _KIND_TO_TOKEN.items()}
 
 _Z_TOKEN = re.compile(r"^z([1-9][0-9]*)$")
 _MAP_LINE = re.compile(r"^#map a(.+) -> z([1-9][0-9]*)$")
+
+# Rows of a dataset body formatted and written at a time.
+_BLOCK_ROWS = 1024
 
 
 def format_float(v: float) -> str:
@@ -99,11 +104,13 @@ def _check_name(name: str | None, where: str) -> str:
     return name
 
 
-def _write(path: str | Path, kind: str, body: list[str]) -> None:
+def _write(path: str | Path, kind: str, chunks: Iterable[list[str]]) -> None:
+    """Write the format and kind lines, then each chunk of body lines in turn."""
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         f.write(f"{FORMAT_LINE}\n#kind {kind}\n")
-        f.write("\n".join(body))
-        f.write("\n")
+        for lines in chunks:
+            f.write("\n".join(lines))
+            f.write("\n")
 
 
 def _read(path: str | Path, kind: str) -> tuple[Path, list[str], int]:
@@ -138,6 +145,25 @@ def _read(path: str | Path, kind: str) -> tuple[Path, list[str], int]:
 # Dataset files
 
 
+def _cells(values: np.ndarray, kind: str) -> list[str]:
+    """Each value's repr; a discrete column formats each distinct value once."""
+    if kind != DISCRETE:
+        return list(map(repr, values.tolist()))
+    # Distinct bit patterns, so that -0.0 keeps its own token.
+    bits, index = np.unique(values.view(np.int64), return_inverse=True)
+    tokens = list(map(repr, bits.view(np.float64).tolist()))
+    return list(map(tokens.__getitem__, index.tolist()))
+
+
+def _body_blocks(ds: Dataset) -> Iterator[list[str]]:
+    """The body's rows, _BLOCK_ROWS at a time, each block formatted by column."""
+    columns = [*ds.latents.T, *(col.values for col in ds.attributes)]
+    kinds = [*ds.latent_kinds, *(col.kind for col in ds.attributes)]
+    for lo in range(0, ds.n, _BLOCK_ROWS):
+        cells = (_cells(c[lo:lo + _BLOCK_ROWS], kind) for c, kind in zip(columns, kinds))
+        yield list(map(",".join, zip(*cells)))
+
+
 def write_dataset(ds: Dataset, path: str | Path) -> None:
     for name in ds.names:
         _check_name(name, str(path))
@@ -148,12 +174,9 @@ def write_dataset(ds: Dataset, path: str | Path) -> None:
         for name, col in zip(ds.names, ds.attributes)
     ]
     lines.append(",".join(header))
-    # Dataset values are finite, so repr equals format_float. Rows are
-    # converted one at a time, and the stacked table is freed before
-    # _write joins the lines: both keep peak memory down.
-    columns = [ds.latents, *(col.values for col in ds.attributes)]
-    lines += [",".join(map(repr, row.tolist())) for row in np.column_stack(columns)]
-    _write(path, "dataset", lines)
+    # Dataset values are finite, so repr equals format_float. Only one
+    # block of rows is formatted at a time, which keeps peak memory down.
+    _write(path, "dataset", itertools.chain([lines], _body_blocks(ds)))
 
 
 # The bytes of a body that numpy's C reader reads as _parse_rows does.
@@ -434,7 +457,7 @@ def _parse_report_body(lines: list[str], path: Path, start_lineno: int) -> Metri
 
 
 def write_report(report: MetricReport, path: str | Path) -> None:
-    _write(path, "report", _report_body(report, path))
+    _write(path, "report", [_report_body(report, path)])
 
 
 def read_report(path: str | Path) -> MetricReport:
@@ -461,7 +484,7 @@ def write_series(series: list[tuple[int, MetricReport]], path: str | Path) -> No
     lines = []
     for t, report in series:
         lines += [f"epoch {t}", *_report_body(report, path), "end"]
-    _write(path, "series", lines)
+    _write(path, "series", [lines])
 
 
 def read_series(path: str | Path) -> list[tuple[int, MetricReport]]:
@@ -503,7 +526,7 @@ def write_truth(family: str, truth: GroundTruth, path: str | Path) -> None:
     )
     lines = [f"family {family}"]
     lines += [f"{key} {format_float(v)}" for key, v in zip(_TRUTH_KEYS[1:], values)]
-    _write(path, "truth", lines)
+    _write(path, "truth", [lines])
 
 
 def read_truth(path: str | Path) -> tuple[str, GroundTruth]:

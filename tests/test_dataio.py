@@ -2,6 +2,7 @@
 
 import math
 import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -20,6 +21,7 @@ from dmig import (
     evaluate,
     gen_discrete_joint,
     gen_gaussian_pair,
+    gen_trajectory,
     read_dataset,
     read_report,
     read_series,
@@ -29,7 +31,7 @@ from dmig import (
     write_series,
     write_truth,
 )
-from dmig.dataio import _parse_rows, format_float, parse_float
+from dmig.dataio import _BLOCK_ROWS, _parse_rows, format_float, parse_float
 from dmig.synthetic import discrete_truth, gaussian_truth
 from test_golden import DATASETS as GOLDEN_DATASETS
 
@@ -123,6 +125,7 @@ class TestDatasetRoundTrip:
             )
             with pytest.raises(FileFormatError, match="unusable attribute name"):
                 write_dataset(ds, tmp_path / "d.csv")
+            assert not (tmp_path / "d.csv").exists()
 
 
 def edge_values_dataset() -> Dataset:
@@ -134,9 +137,29 @@ def edge_values_dataset() -> Dataset:
     )
 
 
+def multi_block_dataset() -> Dataset:
+    """Two full blocks of rows and a partial one, with values that repeat."""
+    rng = np.random.default_rng(18)
+    n = 2 * _BLOCK_ROWS + 300
+    signed_zeros = rng.choice([0.0, -0.0, -3.0, 1e16], n)
+    codes = rng.permutation(n) - 1000.0  # more distinct codes than a block has rows
+    ds = Dataset(
+        latents=np.column_stack([signed_zeros, rng.standard_normal(n)]),
+        attributes=(
+            SampleColumn(codes, kind="discrete"),
+            SampleColumn(rng.integers(0, 4, n).astype(float), kind="continuous"),
+        ),
+        regularized_map=(1, 0),
+    )
+    assert ds.latent_kinds == ("discrete", "continuous")
+    return ds
+
+
 class TestDatasetBytes:
     @pytest.mark.parametrize(
-        "build", [*GOLDEN_DATASETS.values(), edge_values_dataset], ids=lambda f: f.__name__
+        "build",
+        [*GOLDEN_DATASETS.values(), edge_values_dataset, multi_block_dataset],
+        ids=lambda f: f.__name__,
     )
     def test_body_equals_per_cell_format_float(self, tmp_path, build):
         ds = build()
@@ -147,6 +170,45 @@ class TestDatasetBytes:
         columns = [*ds.latents.T, *(col.values for col in ds.attributes)]
         body = [",".join(format_float(c[r]) for c in columns) for r in range(ds.n)]
         assert p.read_bytes() == ("\n".join(head + body) + "\n").encode()
+
+    @pytest.mark.parametrize(
+        "build, bound_mib",
+        [
+            # The shapes of the benchmark's disc_codes and cont_pair inputs.
+            # Writing the whole body at once peaked at 9.9 and 7.0 MiB; a
+            # block at a time peaks at 0.21 and 0.57 MiB, and the bounds
+            # are 1.5 times those.
+            (
+                lambda: gen_discrete_joint(
+                    SyntheticSpec(
+                        family="discrete_joint", n=100_000, seed=7,
+                        pmf=((0.22, 0.06, 0.05), (0.06, 0.22, 0.05), (0.05, 0.05, 0.24)),
+                        d_total=2,
+                    )
+                )[0],
+                0.31,
+            ),
+            (
+                lambda: gen_trajectory(
+                    SyntheticSpec(
+                        family="trajectory", n=25_000, seed=7, rho=0.8,
+                        noise_schedule=(0.3,), d_total=2,
+                    )
+                )[0][1],
+                0.86,
+            ),
+        ],
+        ids=["discrete_codes", "trajectory_epoch"],
+    )
+    def test_small_memory(self, tmp_path, build, bound_mib):
+        ds = build()
+        tracemalloc.start()
+        try:
+            write_dataset(ds, tmp_path / "d.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound_mib * 2**20
 
 
 class TestDatasetErrors:
