@@ -7,23 +7,38 @@ attribute), alongside Spearman correlations, using built-in kNN and
 plug-in information estimators. Ships synthetic generators with
 closed-form ground truth, stable text file formats, and a CLI.
 
-The public API is the union of each module's ``__all__``.
+The public API is the union of each module's ``__all__``. Importing the
+package loads none of its modules, and so no numpy: the first access to
+a public name or to ``__all__`` imports them all and binds every name
+(PEP 562). ``python -m dmig`` imports this package before its entry
+function can set the BLAS thread count for numpy.
 """
 
-from . import dataio, errors, estimation, metrics, plotting, synthetic
-from .errors import *
-from .estimation import *
-from .metrics import *
-from .synthetic import *
-from .dataio import *
-from .plotting import *
+from importlib import import_module as _import_module
 
 __version__ = "0.1.0"
 
-__all__: list[str] = []
-__all__ += errors.__all__
-__all__ += estimation.__all__
-__all__ += metrics.__all__
-__all__ += synthetic.__all__
-__all__ += dataio.__all__
-__all__ += plotting.__all__
+_MODULES = ("errors", "estimation", "metrics", "synthetic", "dataio", "plotting")
+
+
+def _bind() -> None:
+    names: list[str] = []
+    for short in _MODULES:
+        module = _import_module(f"{__name__}.{short}")
+        globals().update((name, getattr(module, name)) for name in module.__all__)
+        names += module.__all__
+    globals()["__all__"] = names
+
+
+def __getattr__(name: str):
+    if "__all__" not in globals() and (name == "__all__" or not name.startswith("__")):
+        _bind()
+        if name in globals():
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    if "__all__" not in globals():
+        _bind()
+    return sorted(globals())

@@ -1,6 +1,22 @@
+"""Entry point of ``python -m dmig`` and of the ``dmig`` script."""
+
+import os
 import sys
 
-from .cli import main
+# dmig makes no BLAS call, so an OpenBLAS worker thread, which keeps
+# spinning for a while after numpy loads, only takes CPU time from the
+# --workers pool. The setting takes effect only before numpy first loads.
+_BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def main() -> int:
+    """Run the CLI with numpy's BLAS on one thread, unless the caller set a count."""
+    if not any(name in os.environ for name in _BLAS_THREADS):
+        os.environ.update(dict.fromkeys(_BLAS_THREADS, "1"))
+    from .cli import main as cli_main
+
+    return cli_main()
+
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -823,7 +823,9 @@ def spearman(x: SampleColumn, y: SampleColumn) -> float:
 
     Exact on the cases that matter downstream: identical rank vectors
     give 1.0, exactly reversed ranks give -1.0, and tie-free data uses
-    the integer formula 1 - 6*sum(d^2)/(n*(n^2-1)).
+    the integer formula 1 - 6*sum(d^2)/(n*(n^2-1)). With ties, the three
+    sums of the Pearson formula are exact integers, so the value depends
+    on no BLAS kernel; it makes no BLAS call.
     """
     n = _require_aligned(x, y)
     rx, distinct_x = rankdata(x.values)
@@ -838,12 +840,22 @@ def spearman(x: SampleColumn, y: SampleColumn) -> float:
     if np.array_equal(rx, (n + 1.0) - ry):
         return -1.0
     if distinct_x == distinct_y == n:
-        # Tie-free ranks are exact integers; each chunk's sum of squared
-        # differences stays below 2**62, so int64 cannot overflow.
+        # Tie-free ranks are exact integers.
         d = (rx - ry).astype(np.int64)
-        step = max(1, 2**62 // (n * n))
-        d2 = sum(int(np.dot(d[i:i + step], d[i:i + step])) for i in range(0, n, step))
-        return 1.0 - (6.0 * d2) / (n * (n * n - 1.0))
-    cx = rx - rx.mean()
-    cy = ry - ry.mean()
-    return float(np.dot(cx, cy) / math.sqrt(np.dot(cx, cx) * np.dot(cy, cy)))
+        return 1.0 - (6.0 * _int_dot(d, d)) / (n * (n * n - 1.0))
+    # Average ranks are half-integers with mean exactly (n+1)/2, so twice
+    # each centred rank is an integer in [1-n, n-1]. The 4s that doubling
+    # puts into the sums cancel exactly in the quotient.
+    cx = (2.0 * rx - (n + 1)).astype(np.int64)
+    cy = (2.0 * ry - (n + 1)).astype(np.int64)
+    return _int_dot(cx, cy) / math.sqrt(float(_int_dot(cx, cx)) * float(_int_dot(cy, cy)))
+
+
+def _int_dot(a: np.ndarray, b: np.ndarray) -> int:
+    """Exact sum of a*b for int64 arrays whose entries lie within +-a.size.
+
+    Each chunk's sum stays below 2**62, so int64 cannot overflow.
+    """
+    n = a.size
+    step = max(1, 2**62 // (n * n))
+    return sum(int(np.dot(a[i:i + step], b[i:i + step])) for i in range(0, n, step))

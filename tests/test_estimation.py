@@ -7,6 +7,8 @@ and brute-force enumeration over small discrete tables.
 
 import math
 import tracemalloc
+from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -698,6 +700,29 @@ class TestRanks:
         y = rng.permutation(n).astype(float)
         d2 = sum((int(a) - int(b)) ** 2 for a, b in zip(x + 1, y + 1))
         assert spearman(cont(x), cont(y)) == 1.0 - (6.0 * d2) / (n * (n * n - 1.0))
+
+    @pytest.mark.parametrize("n", [20_000, 400_000])
+    def test_tied_spearman_equals_fraction_reference(self, n):
+        # The Pearson formula on average ranks, its three sums exact in
+        # Fractions over the contingency table. Up to n of about 3e5 a
+        # float dot product of the centred ranks is exact too; 4e5 is past it.
+        rng = np.random.default_rng(n)
+        x = rng.integers(0, 7, n).astype(float)
+        y = x + rng.integers(0, 5, n)
+
+        def centred_ranks(values):
+            counts, rank, below = Counter(values), {}, 0
+            for v in sorted(counts):
+                rank[v] = Fraction(2 * below + counts[v] + 1, 2) - Fraction(n + 1, 2)
+                below += counts[v]
+            return counts, rank
+
+        (nx, rx), (ny, ry) = centred_ranks(x.tolist()), centred_ranks(y.tolist())
+        sxy = sum(c * rx[a] * ry[b] for (a, b), c in Counter(zip(x.tolist(), y.tolist())).items())
+        sxx = sum(c * rx[a] ** 2 for a, c in nx.items())
+        syy = sum(c * ry[b] ** 2 for b, c in ny.items())
+        ref = float(sxy) / math.sqrt(float(sxx) * float(syy))
+        assert spearman(disc(x), disc(y)).hex() == ref.hex()
 
 
 class TestInvariants:

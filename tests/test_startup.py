@@ -1,8 +1,11 @@
 """What a fresh interpreter loads when it imports or runs dmig.
 
 dmig imports no scipy: importing the package and evaluating any dataset,
-continuous pairs included and with --workers, load no scipy module. Each
-test starts its own interpreter, since this one has scipy loaded.
+continuous pairs included and with --workers, load no scipy module.
+Importing the package loads no numpy and leaves the environment alone;
+the CLI entry runs numpy's BLAS on one thread unless the caller set a
+thread count. Each test starts its own interpreter, since this one has
+scipy and numpy loaded.
 """
 
 import json
@@ -16,23 +19,35 @@ import pytest
 from dmig import SyntheticSpec, gen_discrete_joint, write_dataset
 from test_golden import DATASETS, GOLDEN, PMF
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
+BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def child_env(**preset: str) -> dict[str, str]:
+    """This environment with src on the path, no BLAS thread count, then `preset`."""
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREADS}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return {**env, **preset}
+
+
+def run_child(argv: list[str], **preset: str) -> str:
+    """Run a fresh interpreter to exit 0; return the last line it printed."""
+    proc = subprocess.run(
+        [sys.executable, *argv], env=child_env(**preset), capture_output=True, text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return (proc.stdout.splitlines() or [""])[-1]
 
 
 def scipy_modules_after(code: str) -> list[str]:
     """Run code in a fresh interpreter; return the scipy modules it loaded."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     probe = (
         "\nimport json, sys\n"
         "print(json.dumps(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy')))"
     )
-    proc = subprocess.run(
-        [sys.executable, "-c", code + probe],
-        env=env, capture_output=True, text=True, timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout.splitlines()[-1])
+    return json.loads(run_child(["-c", code + probe]))
 
 
 def eval_code(*argv) -> str:
@@ -68,3 +83,71 @@ def test_continuous_eval_loads_no_scipy(tmp_path, workers):
     write_dataset(DATASETS["continuous_m3"](), path)
     assert scipy_modules_after(eval_code(path, "--workers", workers, "--out", out)) == []
     assert out.read_bytes() == (GOLDEN / "continuous_m3.report").read_bytes()
+
+
+def test_import_loads_no_numpy_and_leaves_environment():
+    code = (
+        "import json, os, sys\n"
+        "before = dict(os.environ)\n"
+        "import dmig\n"
+        "print(json.dumps([sorted(m for m in sys.modules if m.partition('.')[0] == 'numpy'),"
+        " dict(os.environ) == before]))"
+    )
+    assert json.loads(run_child(["-c", code])) == [[], True]
+
+
+def test_module_run_writes_golden_bytes(tmp_path):
+    path, out = tmp_path / "noisy_discrete.csv", tmp_path / "out.report"
+    write_dataset(DATASETS["noisy_discrete"](), path)
+    run_child(["-m", "dmig", "eval", str(path), "--out", str(out)])
+    assert out.read_bytes() == (GOLDEN / "noisy_discrete.report").read_bytes()
+
+
+@pytest.mark.skipif(
+    not hasattr(os, "sched_getaffinity") or not Path("/proc/self/status").is_file(),
+    reason="reads the thread count from Linux's /proc",
+)
+@pytest.mark.skipif(
+    hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) < 2,
+    reason="on one CPU OpenBLAS starts no worker thread whatever the setting",
+)
+@pytest.mark.parametrize("preset, threads", [({}, 1), ({"OPENBLAS_NUM_THREADS": "2"}, 2)])
+def test_module_run_keeps_blas_on_one_thread_unless_set(tmp_path, preset, threads):
+    path, out = tmp_path / "noisy_discrete.csv", tmp_path / "out.report"
+    write_dataset(DATASETS["noisy_discrete"](), path)
+    argv = ["dmig", "eval", str(path), "--workers", "1", "--out", str(out)]
+    code = (
+        "import runpy, sys\n"
+        f"sys.argv = {argv!r}\n"
+        "try:\n"
+        "    runpy.run_module('dmig', run_name='__main__')\n"
+        "except SystemExit as exc:\n"
+        "    assert exc.code == 0, exc.code\n"
+        "with open('/proc/self/status') as f:\n"
+        "    print(next(line.split()[1] for line in f if line.startswith('Threads:')))"
+    )
+    assert int(run_child(["-c", code], **preset)) == threads
+    assert out.read_bytes() == (GOLDEN / "noisy_discrete.report").read_bytes()
+
+
+def test_script_is_the_function_the_module_runs():
+    pytest.importorskip("tomllib")
+    code = (
+        "import importlib, json, runpy, sys, tomllib\n"
+        "import dmig.cli\n"
+        "calls = []\n"
+        "dmig.cli.main = lambda argv=None: calls.append(sys.argv[1:]) or 0\n"
+        "sys.argv = ['dmig', 'eval', 'x.csv']\n"
+        "try:\n"
+        "    runpy.run_module('dmig', run_name='__main__')\n"
+        "except SystemExit as exc:\n"
+        "    calls.append(exc.code)\n"
+        f"with open({str(ROOT / 'pyproject.toml')!r}, 'rb') as f:\n"
+        "    target = tomllib.load(f)['project']['scripts']['dmig']\n"
+        "module, _, attr = target.partition(':')\n"
+        "entry = getattr(importlib.import_module(module), attr)\n"
+        "import dmig.__main__\n"
+        "calls.append([entry is dmig.__main__.main, entry()])\n"
+        "print(json.dumps(calls))"
+    )
+    assert json.loads(run_child(["-c", code])) == [["eval", "x.csv"], 0, ["eval", "x.csv"], [True, 0]]
