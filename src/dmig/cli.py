@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -61,19 +62,20 @@ def _print_report(report: MetricReport, heading: str | None = None) -> None:
 
 def _estimator_config(args: argparse.Namespace) -> EstimatorConfig:
     try:
-        return EstimatorConfig(k=args.k, jitter=args.jitter, seed=args.seed)
+        return EstimatorConfig(k=args.k)
     except DmigError as exc:
         raise SpecValidationError(f"invalid estimator flag: {exc}") from None
 
 
-def _out_path(flag: str | None, default: Path) -> Path:
+def _out_path(flag: str | None, default: Path, inputs: list[str]) -> Path:
     """An explicit --out, whose directory must exist, else the default,
-    which sits beside an input so that a missing input is named first."""
-    if not flag:
-        return default
-    out = Path(flag)
-    if not out.parent.is_dir():
+    which sits beside an input so that a missing input is named first.
+    Either is refused when it is one of the inputs."""
+    out = Path(flag) if flag else default
+    if flag and not out.parent.is_dir():
         raise SpecValidationError(f"--out directory does not exist: {out.parent}")
+    if out.exists() and any(os.path.samefile(out, path) for path in inputs):
+        raise SpecValidationError(f"output {out} is an input; name another with --out")
     return out
 
 
@@ -82,7 +84,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if args.workers < 1:
         raise SpecValidationError(f"--workers must be >= 1, got {args.workers}")
     kind = "report" if len(args.dataset) == 1 else "series"
-    out = _out_path(args.out, Path(args.dataset[0]).with_suffix(f".{kind}"))
+    out = _out_path(args.out, Path(args.dataset[0]).with_suffix(f".{kind}"), args.dataset)
     series = [
         (t, evaluate(read_dataset(path), cfg, workers=args.workers))
         for t, path in enumerate(args.dataset)
@@ -213,7 +215,7 @@ def _range_arg(text: str) -> tuple[float, float]:
 
 def cmd_plot(args: argparse.Namespace) -> int:
     path = Path(args.series)
-    out = _out_path(args.out, path.with_name(f"{path.stem}_{args.x}_{args.y}.svg"))
+    out = _out_path(args.out, path.with_name(f"{path.stem}_{args.x}_{args.y}.svg"), [path])
     series = read_series(path)
     spec = PlotSpec(
         x_metric=args.x,
@@ -228,18 +230,9 @@ def cmd_plot(args: argparse.Namespace) -> int:
 
 
 def _add_estimator_flags(p: argparse.ArgumentParser) -> None:
-    cfg = EstimatorConfig()
     p.add_argument(
-        "--k", type=int, default=cfg.k, help="kNN neighbor count (default %(default)s)"
-    )
-    p.add_argument(
-        "--jitter",
-        type=float,
-        default=cfg.jitter,
-        help="tie-breaking noise amplitude relative to column std (default %(default)s)",
-    )
-    p.add_argument(
-        "--seed", type=int, default=cfg.seed, help="estimator seed (default %(default)s)"
+        "--k", type=int, default=EstimatorConfig().k,
+        help="kNN neighbor count (default %(default)s)",
     )
 
 
@@ -265,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_estimator_flags(p_eval)
     p_eval.add_argument("--out", default=None, help="output report/series path")
     p_eval.add_argument(
-        "--workers", type=int, default=1, help="threads for the MI grid (default 1)"
+        "--workers", type=int, default=1, help="threads for the MI grid (default %(default)s)"
     )
     p_eval.set_defaults(func=cmd_eval)
 
@@ -311,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_oracle.add_argument("dataset", help="dataset CSV path (with <stem>.truth)")
     _add_estimator_flags(p_oracle)
     p_oracle.add_argument(
-        "--tol", type=float, default=0.03, help="absolute tolerance (default 0.03)"
+        "--tol", type=float, default=0.03, help="absolute tolerance (default %(default)s)"
     )
     p_oracle.set_defaults(func=cmd_oracle)
 

@@ -32,7 +32,7 @@ from typing import get_args
 import numpy as np
 
 from .errors import DmigError, FileFormatError
-from .estimation import CONTINUOUS, DISCRETE, EstimatorConfig, SampleColumn
+from .estimation import _JITTER, _SEED, CONTINUOUS, DISCRETE, EstimatorConfig, SampleColumn
 from .metrics import _FLAGS, AttributeMetrics, Branch, Dataset, MetricReport
 from .synthetic import GroundTruth
 
@@ -358,12 +358,13 @@ def _or_none(write, read) -> tuple:
 
 # The key=value items of the config and attribute lines, in written
 # order: each key maps to a writer of the record's field of that name and
-# a reader of its token. Every estimate is in nats, so `unit` is written
-# from no field and its reader only checks the token.
+# a reader of its token. Every estimate is in nats, and the tie-breaking
+# jitter and its seed are constants of estimation, so those three are
+# written from no field and their readers only check the token.
 _CONFIG_FIELDS = {
     "k": (str, _parse_int),
-    "jitter": (format_float, parse_float),
-    "seed": (str, _parse_int),
+    "jitter": (lambda _: format_float(_JITTER), parse_float),
+    "seed": (lambda _: str(_SEED), _parse_int),
     "unit": (lambda _: "nats", _parse_unit),
 }
 _ATTRIBUTE_FIELDS = {
@@ -432,10 +433,9 @@ def _parse_report_body(lines: list[str], path: Path, start_lineno: int) -> Metri
         if key == "digest":
             kw["dataset_digest"] = rest
         elif key == "config":
-            kv = _parse_kv(rest, where, _CONFIG_FIELDS)
-            del kv["unit"]
+            k = _parse_kv(rest, where, _CONFIG_FIELDS)["k"]
             try:
-                kw["config_echo"] = EstimatorConfig(**kv)
+                kw["config_echo"] = EstimatorConfig(k=k)
             except DmigError as exc:
                 raise FileFormatError(f"{where}: bad config line: {exc}") from exc
         elif key in ("mean_mig", "mean_dmig"):

@@ -12,13 +12,12 @@ Implements the estimator layer used by the metric computations:
 
 All quantities are in nats. Continuous estimators break ties with
 deterministic, content-keyed jitter: the noise applied to a column is a
-pure function of the config seed and the column bytes, so estimates are
-reproducible, symmetric in their arguments, and safe to compute
-concurrently. Mean reductions use math.fsum, which makes results
-invariant under joint row permutations of pre-jittered data. Every
-digamma argument is a positive integer and is evaluated exactly here,
-and the k-th neighbour search of a continuous pair is numpy's too: the
-package imports no scipy.
+pure function of the column bytes, so estimates are reproducible,
+symmetric in their arguments, and safe to compute concurrently. Mean
+reductions use math.fsum, which makes results invariant under joint row
+permutations of pre-jittered data. Every digamma argument is a positive
+integer and is evaluated exactly here, and the k-th neighbour search of
+a continuous pair is numpy's too: the package imports no scipy.
 """
 
 from __future__ import annotations
@@ -96,24 +95,16 @@ class SampleColumn:
 
 @dataclass(frozen=True)
 class EstimatorConfig:
-    """Knobs shared by all kNN estimators.
+    """The setting shared by all kNN estimators: k, the neighbor count.
 
-    k: neighbor count; jitter: tie-breaking noise amplitude as a fraction
-    of the column standard deviation; seed: keys the jitter noise. Every
-    estimate is in nats (closed-form oracles are natural-log).
+    Every estimate is in nats (closed-form oracles are natural-log).
     """
 
     k: int = 3
-    jitter: float = 1e-10
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.k < 1:
             raise InsufficientSamplesError(f"k must be >= 1, got {self.k}")
-        if not (0.0 <= self.jitter < math.inf):
-            raise DegenerateSampleError(f"jitter must be finite and >= 0, got {self.jitter}")
-        if not (0 <= self.seed < 2**64):
-            raise DegenerateSampleError("seed must fit in 64 unsigned bits")
 
 
 @dataclass(frozen=True)
@@ -522,25 +513,29 @@ def _require_samples(n: int, k: int) -> None:
         raise InsufficientSamplesError(f"need N >= k+1 samples, got N={n} with k={k}")
 
 
-def _jittered(col: SampleColumn, cfg: EstimatorConfig) -> np.ndarray:
+# The tie-breaking noise: its amplitude as a fraction of the column's
+# standard deviation, and the seed that keys it. Reports echo both.
+_JITTER = 1e-10
+_SEED = 0
+
+
+def _jittered(col: SampleColumn) -> np.ndarray:
     """Return column values with deterministic tie-breaking noise.
 
-    The noise stream is keyed by (seed, column content), not by argument
+    The noise stream is keyed by (_SEED, column content), not by argument
     position, so mi(x, y) and mi(y, x) see identical point clouds and the
-    estimates agree bit for bit. Zero jitter or a constant column returns
-    the values unchanged.
+    estimates agree bit for bit. A constant column returns the values
+    unchanged.
     """
     vals = col.values
-    if cfg.jitter == 0.0:
-        return vals
     sd = float(np.std(vals))
     if sd == 0.0:
         return vals
     key = hashlib.blake2b(
-        cfg.seed.to_bytes(8, "little") + vals.tobytes(), digest_size=16
+        _SEED.to_bytes(8, "little") + vals.tobytes(), digest_size=16
     ).digest()
     rng = np.random.default_rng(int.from_bytes(key, "little"))
-    return vals + (cfg.jitter * sd) * rng.random(vals.size)
+    return vals + (_JITTER * sd) * rng.random(vals.size)
 
 
 def _plugin_entropy(counts: np.ndarray, n: int) -> float:
@@ -573,14 +568,14 @@ def entropy_continuous(a: SampleColumn, cfg: EstimatorConfig) -> float:
     """
     _require_kind(a, CONTINUOUS, "entropy_continuous")
     _require_samples(a.n, cfg.k)
-    pts = _jittered(a, cfg)
+    pts = _jittered(a)
     if float(np.std(pts)) == 0.0:
         raise DegenerateSampleError("zero-variance column after jitter")
     eps = _kth_gap(np.sort(pts), cfg.k)
     if np.any(eps == 0.0):
         raise DegenerateSampleError(
             "coincident samples: k-th neighbor distance is zero, "
-            "differential entropy undefined (increase jitter)"
+            "differential entropy undefined (tied values: declare the column discrete)"
         )
     n = a.n
     return digamma(n) - digamma(cfg.k) + math.fsum(np.log(2.0 * eps)) / n
@@ -668,8 +663,8 @@ def mi_continuous_detailed(
     """
     n = _require_aligned(x, y)
     _require_samples(n, cfg.k)
-    px = _jittered(x, cfg)
-    py = _jittered(y, cfg)
+    px = _jittered(x)
+    py = _jittered(y)
 
     tree = cKDTree(px, py)
     eps = tree.query(cfg.k)
@@ -752,7 +747,7 @@ def _classwise_row(
     psi_sizes = _digamma_each(np.repeat(sizes, sizes))
     row = []
     for cont in partners:
-        values = _jittered(cont, cfg)[order]
+        values = _jittered(cont)[order]
         eps = np.empty(n)
         for lo, hi, k in classes:
             values[lo:hi].sort()

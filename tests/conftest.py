@@ -2,8 +2,13 @@
 
 Acceptance tests record one human-readable pass/fail line each; the
 terminal-summary hook replays them at the end of the run so they are
-visible even when pytest captures stdout.
+visible even when pytest captures stdout. tie_noise sets the private
+constants of dmig.estimation that the estimators read at each call.
 """
+
+from unittest import mock
+
+from dmig import estimation
 
 ACCEPTANCE_LINES: list[str] = []
 
@@ -18,3 +23,8 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.section("acceptance criteria")
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
+
+
+def tie_noise(jitter=estimation._JITTER, seed=estimation._SEED):
+    """A context that sets the estimators' tie-breaking jitter and its seed."""
+    return mock.patch.multiple(estimation, _JITTER=jitter, _SEED=seed)

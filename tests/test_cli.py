@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from dmig import Dataset, SampleColumn, gaussian_truth, write_dataset, write_truth
+from dmig import cli
 from dmig.cli import main
 from dmig.synthetic import FAMILIES
 from test_golden import GOLDEN
@@ -278,14 +279,13 @@ class TestPlot:
 
 
 class TestExitCodes:
+    # The ids keep the case names the list had when it also held the
+    # --jitter and --seed cases, now in test_tie_noise_flags_are_usage_errors.
     @pytest.mark.parametrize(
         "flags",
         [
-            ["--k", "0"],
-            ["--jitter", "-1"],
-            ["--seed", "-1"],
-            ["--workers", "0"],
-            ["--jitter", "inf"],
+            pytest.param(["--k", "0"], id="flags0"),
+            pytest.param(["--workers", "0"], id="flags3"),
         ],
     )
     def test_invalid_flag_value_is_usage_error(self, tmp_path, capsys, flags):
@@ -294,6 +294,46 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not (tmp_path / "d.report").exists()
+
+    @pytest.mark.parametrize("flag", ["--jitter", "--seed"])
+    @pytest.mark.parametrize("command", ["eval", "oracle"])
+    def test_tie_noise_flags_are_usage_errors(self, tmp_path, capsys, command, flag):
+        # The tie-breaking jitter and its seed are constants of the estimators.
+        p = ideal_binary(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main([command, str(p), flag, "0"])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} 0" in capsys.readouterr().err
+        assert not (tmp_path / "d.report").exists()
+
+    @pytest.mark.parametrize("case", ["eval_out", "plot_out", "eval_report", "eval_series"])
+    def test_output_that_is_an_input_is_refused(self, tmp_path, capsys, monkeypatch, case):
+        if case == "plot_out":
+            target = TestPlot().make_series(tmp_path)
+        else:
+            name = {"eval_out": "d.csv", "eval_report": "d.report", "eval_series": "d.series"}
+            target = ideal_binary(tmp_path, name[case])
+        monkeypatch.chdir(tmp_path)
+        args = {
+            # A relative --out names the input given by its absolute path.
+            "eval_out": ["eval", str(target), "--out", target.name],
+            "plot_out": ["plot", str(target), "--x", "mig", "--y", "dmig",
+                         "--out", target.name],
+            # The default output of eval is the first input with its suffix.
+            "eval_report": ["eval", str(target)],
+            "eval_series": ["eval", str(target), str(ideal_binary(tmp_path, "e1.csv"))],
+        }[case]
+        before = target.read_bytes()
+        reads = []
+        for name in ("read_dataset", "read_series"):
+            read = getattr(cli, name)
+            monkeypatch.setattr(cli, name, lambda *a, read=read: reads.append(a) or read(*a))
+        capsys.readouterr()
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert reads == []
+        assert target.read_bytes() == before
 
     def test_estimation_failure_exits_one(self, tmp_path, capsys):
         rng = np.random.default_rng(22)
