@@ -70,10 +70,12 @@ def _estimator_config(args: argparse.Namespace) -> EstimatorConfig:
 def _out_path(flag: str | None, default: Path, inputs: list[str]) -> Path:
     """An explicit --out, whose directory must exist, else the default,
     which sits beside an input so that a missing input is named first.
-    Either is refused when it is one of the inputs."""
+    Either is refused when it is a directory or one of the inputs."""
     out = Path(flag) if flag else default
     if flag and not out.parent.is_dir():
         raise SpecValidationError(f"--out directory does not exist: {out.parent}")
+    if out.is_dir():
+        raise SpecValidationError(f"output {out} is a directory; name a file with --out")
     if out.exists() and any(os.path.samefile(out, path) for path in inputs):
         raise SpecValidationError(f"output {out} is an input; name another with --out")
     return out

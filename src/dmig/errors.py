@@ -42,8 +42,9 @@ class InsufficientSamplesError(DmigError):
 
 
 class DegenerateSampleError(DmigError):
-    """A continuous column has zero variance (after jitter), so neighbor
-    distances degenerate and the estimate is undefined."""
+    """An estimate is undefined on the sample: a continuous column has zero
+    variance (after jitter) or, in the KL entropy, coincident samples, or
+    the codes of class-wise MI have no class of at least 2 samples."""
 
 
 class UndefinedCorrelationError(DmigError):
@@ -75,4 +76,5 @@ class FileFormatError(DmigError):
 
 
 class SpecValidationError(DmigError):
-    """A synthetic generation spec violates its invariants."""
+    """A synthetic generation spec violates its invariants, or a CLI flag
+    or output path is refused (exit 2)."""

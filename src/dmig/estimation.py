@@ -4,8 +4,8 @@ Implements the estimator layer used by the metric computations:
 
 * plug-in Shannon entropy and mutual information for discrete columns,
 * Kozachenko-Leonenko kNN differential entropy for continuous columns,
-* the class-wise kNN mutual information of Ross (2014) for a discrete
-  column paired with a continuous one,
+* the class-wise kNN mutual information of Ross (2014) of a discrete
+  column with each of its continuous partners (mi_classwise),
 * KSG (type 1) kNN mutual information for continuous pairs,
 * conditional entropy assembled from the above,
 * Spearman rank correlation.
@@ -109,11 +109,11 @@ class EstimatorConfig:
 
 @dataclass(frozen=True)
 class MIEstimate:
-    """Raw KSG estimate plus the deterministic-relation diagnostic.
+    """Raw KSG or class-wise estimate plus the deterministic-relation diagnostic.
 
-    deterministic_relation is set when some k-th neighbor distance in the
-    joint space underflows to zero, i.e. the sample contains at least k+1
-    coincident joint points even after jitter. The value stays finite.
+    deterministic_relation is set when some k-th neighbor distance is zero
+    even after jitter: in KSG's joint space (k+1 coincident joint points),
+    or within a class for class-wise MI. The value stays finite.
     """
 
     value: float
@@ -519,6 +519,16 @@ _JITTER = 1e-10
 _SEED = 0
 
 
+def _std(vals: np.ndarray) -> float:
+    """np.std of vals; where that overflows, that of vals / max |vals| scaled back."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        sd = float(np.std(vals))
+        if not math.isfinite(sd):
+            top = float(np.max(np.abs(vals)))
+            sd = float(np.std(vals / top)) * top
+    return sd
+
+
 def _jittered(col: SampleColumn) -> np.ndarray:
     """Return column values with deterministic tie-breaking noise.
 
@@ -528,7 +538,7 @@ def _jittered(col: SampleColumn) -> np.ndarray:
     unchanged.
     """
     vals = col.values
-    sd = float(np.std(vals))
+    sd = _std(vals)
     if sd == 0.0:
         return vals
     key = hashlib.blake2b(
@@ -569,7 +579,7 @@ def entropy_continuous(a: SampleColumn, cfg: EstimatorConfig) -> float:
     _require_kind(a, CONTINUOUS, "entropy_continuous")
     _require_samples(a.n, cfg.k)
     pts = _jittered(a)
-    if float(np.std(pts)) == 0.0:
+    if _std(pts) == 0.0:
         raise DegenerateSampleError("zero-variance column after jitter")
     eps = _kth_gap(np.sort(pts), cfg.k)
     if np.any(eps == 0.0):
@@ -681,52 +691,38 @@ def mi_continuous_detailed(
 
 
 def mi_classwise(
-    x: SampleColumn, y: SampleColumn, cfg: EstimatorConfig
-) -> MIEstimate:
-    """Mutual information of a discrete and a continuous column, in nats.
+    codes: SampleColumn, partners: list[SampleColumn], cfg: EstimatorConfig
+) -> list[MIEstimate]:
+    """Mutual information of a discrete column and each continuous partner, in nats.
 
     The class-wise kNN estimator of Ross 2014 (PLoS ONE 9(2): e87357):
 
         I = psi(N) - mean_i psi(N_c) + psi(k) - mean_i psi(m_i),
 
     where d_i is the distance from point i to its k-th nearest neighbour
-    within its own class c of the continuous column, m_i counts the points
-    of the whole column strictly within d_i, i itself included, and N_c is
-    the size of class c. Small classes follow scikit-learn's
-    _compute_mi_cd: singleton classes are dropped, so N counts the other
-    points, and a class uses k_c = min(k, N_c - 1) neighbours, psi(k)
-    becoming the mean of psi(k_c). The continuous column is jittered as in
-    KSG; the discrete one is not, and no kd-tree is built. Only the
-    continuous column carries units, so the estimate does not depend on
-    them. Where KSG's k joint neighbours of every point lie in the point's
-    own class, KSG counts the same N_c and m_i up to its jitter of the
-    codes, and the reduction runs in KSG's order, so the two mostly agree
-    bit for bit. This is the one-partner case of _classwise_row, which
-    mi_profile runs once per discrete column for all its continuous
-    partners.
+    within its own class c of the partner, m_i counts the points of the
+    whole partner strictly within d_i, i itself included, and N_c is the
+    size of class c. Small classes follow scikit-learn's _compute_mi_cd:
+    singleton classes are dropped, so N counts the other points, and a
+    class uses k_c = min(k, N_c - 1) neighbours, psi(k) becoming the mean
+    of psi(k_c). Partners are jittered as in KSG and the codes are not;
+    only a partner carries units, and the estimate does not depend on
+    them. Where KSG's k joint neighbours of every point lie in its own
+    class, KSG counts the same N_c and m_i up to its jitter of the codes
+    and reduces in the same order, so the two mostly agree bit for bit.
+
+    The codes are partitioned once per call: one stable argsort lists the
+    rows class by class, and the singleton drop, k_c, psi(N_c), psi(k) and
+    psi(N) follow from it. Each partner is gathered into that order and
+    sorted within each class, the same values as a lexsort of (values,
+    codes); the k-th gaps, the marginal counts and the fsum reduction
+    follow. Partners are taken one at a time, so memory stays at a few
+    columns; mi_profile makes one call per discrete column.
     """
-    _require_samples(_require_aligned(x, y), cfg.k)
-    codes, cont = (x, y) if x.kind == DISCRETE else (y, x)
     _require_kind(codes, DISCRETE, "mi_classwise")
-    _require_kind(cont, CONTINUOUS, "mi_classwise")
-    return _classwise_row(codes, [cont], cfg)[0]
-
-
-def _classwise_row(
-    codes: SampleColumn, partners: list[SampleColumn], cfg: EstimatorConfig
-) -> list[MIEstimate]:
-    """mi_classwise of one discrete column against each continuous partner.
-
-    Everything that depends on the codes alone is done once: the stable
-    argsort that lists the rows class by class, the drop of singleton
-    classes, k_c, psi(N_c), psi(k) and psi(N). Each partner is then
-    gathered into that order and sorted within each class, which gives
-    the same values, class by class in value order, as a lexsort of
-    (values, codes) would; the k-th gaps, the marginal counts and the
-    fsum reduction follow unchanged. Partners are taken one at a time, so
-    memory stays at a few columns whatever their number. The caller has
-    checked that every column is aligned and of its kind and that N > k.
-    """
+    for cont in partners:
+        _require_kind(cont, CONTINUOUS, "mi_classwise")
+        _require_samples(_require_aligned(codes, cont), cfg.k)
     order = np.argsort(codes.values, kind="stable")
     starts = np.flatnonzero(_runs(codes.values[order]))
     sizes = np.diff(np.append(starts, order.size))
@@ -789,11 +785,10 @@ def conditional_entropy(
     if a.kind == DISCRETE and b.kind == DISCRETE:
         return _joint_entropy_discrete(a, b) - entropy_discrete(b)
     if a.kind == DISCRETE:
-        h_a = entropy_discrete(a)
-    else:
-        h_a = entropy_continuous(a, cfg)
-    mi = mi_continuous_detailed if a.kind == b.kind else mi_classwise
-    return h_a - mi(a, b, cfg).value
+        return entropy_discrete(a) - mi_classwise(a, [b], cfg)[0].value
+    if b.kind == DISCRETE:
+        return entropy_continuous(a, cfg) - mi_classwise(b, [a], cfg)[0].value
+    return entropy_continuous(a, cfg) - mi_continuous_detailed(a, b, cfg).value
 
 
 def rankdata(values: np.ndarray) -> tuple[np.ndarray, int]:

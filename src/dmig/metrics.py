@@ -40,10 +40,10 @@ from .estimation import (
     DISCRETE,
     EstimatorConfig,
     SampleColumn,
-    _classwise_row,
     _joint_entropy_discrete,
     entropy_continuous,
     entropy_discrete,
+    mi_classwise,
     mi_continuous_detailed,
     spearman,
 )
@@ -239,7 +239,7 @@ def _pair_cell(
         return [(True, _joint_entropy_discrete(x, y))]
     if x.kind == y.kind:
         return [(False, mi_continuous_detailed(x, y, cfg).value)]
-    return [(False, est.value) for est in _classwise_row(x, ys, cfg)]
+    return [(False, est.value) for est in mi_classwise(x, ys, cfg)]
 
 
 def _pair_info(cell: tuple[bool, float], h_x: float, h_y: float | None) -> tuple[float, float]:

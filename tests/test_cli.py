@@ -1,11 +1,15 @@
 """Command-line tests, all in-process through main(argv)."""
 
+import math
 import re
+import warnings
 
 import numpy as np
 import pytest
 
-from dmig import Dataset, SampleColumn, gaussian_truth, write_dataset, write_truth
+from dmig import (
+    Dataset, SampleColumn, gaussian_truth, read_report, write_dataset, write_truth,
+)
 from dmig import cli
 from dmig.cli import main
 from dmig.synthetic import FAMILIES
@@ -75,6 +79,31 @@ class TestEval:
         assert main(["eval", str(p1), str(p2), "--out", str(out)]) == 0
         text = out.read_text()
         assert "#kind series" in text and "epoch 0" in text and "epoch 1" in text
+
+    @pytest.mark.parametrize("scale", [1e160, 1e300])
+    def test_continuous_attribute_whose_spread_overflows(self, tmp_path, scale):
+        # np.std of a1 * scale overflows float64; the tie-breaking jitter
+        # still has a finite scale, and no RuntimeWarning escapes. The
+        # class-wise and KSG estimates count neighbours only, so a2's
+        # record, whose denominator is H(a2 | a1), equals the one at scale 1.
+        rng = np.random.default_rng(5)
+        a1 = rng.standard_normal(500)
+        a2 = rng.integers(0, 4, 500).astype(float)
+        lat = np.column_stack([a1 + 0.1 * rng.standard_normal(500),
+                               a2 + 0.3 * rng.standard_normal(500)])
+        reports = []
+        for s in (1.0, scale):
+            ds = Dataset(latents=lat, attributes=(SampleColumn(a1 * s, kind="continuous"),
+                                                  SampleColumn(a2, kind="discrete")))
+            p = tmp_path / f"{s:g}.csv"
+            write_dataset(ds, p)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert main(["eval", str(p)]) == 0
+            reports.append(read_report(p.with_suffix(".report")))
+        huge = reports[1].per_attribute
+        assert all(math.isfinite(v) for a in huge for v in (a.mig, a.dmig, a.denominator))
+        assert huge[1] == reports[0].per_attribute[1]
 
 
 class TestSynth:
@@ -334,6 +363,28 @@ class TestExitCodes:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert reads == []
         assert target.read_bytes() == before
+
+    @pytest.mark.parametrize("case", ["eval", "plot", "eval_missing"])
+    def test_out_that_is_a_directory_is_refused_before_reading(
+        self, tmp_path, capsys, monkeypatch, case
+    ):
+        outdir = tmp_path / "out"
+        outdir.mkdir()
+        args = {
+            "eval": ["eval", str(ideal_binary(tmp_path))],
+            "plot": ["plot", str(TestPlot().make_series(tmp_path)), "--x", "mig", "--y", "dmig"],
+            # The directory is named, not the input that is missing.
+            "eval_missing": ["eval", str(tmp_path / "missing.csv")],
+        }[case]
+        calls = []
+        for name in ("read_dataset", "read_series", "render_series_scatter"):
+            monkeypatch.setattr(cli, name, lambda *a, name=name: calls.append(name))
+        capsys.readouterr()
+        assert main([*args, "--out", str(outdir)]) == 2
+        assert calls == []
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: output {outdir} ") and err.count("\n") == 1
+        assert "missing.csv" not in err
 
     def test_estimation_failure_exits_one(self, tmp_path, capsys):
         rng = np.random.default_rng(22)

@@ -265,13 +265,13 @@ class TestMiClasswise:
         row = mi_profile(ds, CFG).mi_raw[0]
         assert np.ptp(row) <= 1e-12
         assert row[1] == pytest.approx(mixture_mi(range(5), sigma), abs=0.03)
-        assert row[1] == mi_classwise(cont(z), disc(a), CFG).value
+        assert row[1] == mi_classwise(disc(a), [cont(z)], CFG)[0].value
 
     def test_equals_ksg_when_neighbours_stay_in_class(self):
         rng = np.random.default_rng(11)
         a = disc(rng.integers(0, 3, 2000))
         z = cont(a.values + 0.05 * rng.standard_normal(2000))
-        assert mi_classwise(a, z, CFG) == mi_continuous_detailed(a, z, CFG)
+        assert mi_classwise(a, [z], CFG) == [mi_continuous_detailed(a, z, CFG)]
 
     def test_singleton_class_dropped(self):
         rng = np.random.default_rng(12)
@@ -280,8 +280,8 @@ class TestMiClasswise:
         codes[17] = 9.0
         rest = np.arange(60) != 17
         with tie_noise(jitter=0.0):
-            est = mi_classwise(disc(codes), cont(z), CFG).value
-            assert est == mi_classwise(disc(codes[rest]), cont(z[rest]), CFG).value
+            est = mi_classwise(disc(codes), [cont(z)], CFG)[0].value
+            assert est == mi_classwise(disc(codes[rest]), [cont(z[rest])], CFG)[0].value
         assert est == pytest.approx(classwise_reference(codes, z, CFG.k), abs=1e-12)
 
     @pytest.mark.parametrize("small", [2, 3])
@@ -291,14 +291,14 @@ class TestMiClasswise:
         codes = np.concatenate([np.zeros(small), rng.integers(1, 3, 50)])
         z = codes + rng.standard_normal(codes.size)
         with tie_noise(jitter=0.0):
-            est = mi_classwise(disc(codes), cont(z), CFG).value
+            est = mi_classwise(disc(codes), [cont(z)], CFG)[0].value
         assert est == pytest.approx(classwise_reference(codes, z, CFG.k), abs=1e-12)
 
     def test_deterministic_relation_on_coincident_class(self):
         codes = disc([0, 1] * 20)
         z = cont(np.repeat([0.0, 1.0, 2.0, 3.0], 10))
         with tie_noise(jitter=0.0):
-            est = mi_classwise(codes, z, CFG)
+            [est] = mi_classwise(codes, [z], CFG)
         assert est.deterministic_relation and math.isfinite(est.value)
 
     @settings(max_examples=40, deadline=None, derandomize=True)
@@ -335,7 +335,7 @@ class TestMiClasswise:
             rows = [(a, z1, p.mi_raw[0, 0]), (a, z3, p.mi_raw[0, 2]), (a, b, None),
                     (z2, b, p.mi_raw[1, 1]), (z4, b, p.mi_raw[1, 3])]
             for codes, z, got in rows:
-                est = mi_classwise(disc(codes), cont(z), cfg).value
+                est = mi_classwise(disc(codes), [cont(z)], cfg)[0].value
                 if got is None:
                     assert p.h_cond[0, 1] == entropy_discrete(disc(a)) - est
                     assert p.h_cond[1, 0] == entropy_continuous(cont(b), cfg) - est
@@ -350,11 +350,14 @@ class TestMiClasswise:
             (disc(range(8)), cont(range(8)), DegenerateSampleError),
             (cont(range(8)), cont(range(8)), KindMismatchError),
             (disc(range(8)), disc(range(8)), KindMismatchError),
+            (disc([0, 1] * 4), cont(range(9)), AlignmentError),
+            (disc([0, 0, 1]), cont(range(3)), InsufficientSamplesError),
         ],
     )
     def test_rejects_unusable_pairs(self, x, y, error):
+        # Every partner is checked, not only the first.
         with pytest.raises(error):
-            mi_classwise(x, y, CFG)
+            mi_classwise(x, [cont(np.arange(x.n) + 0.5), y], CFG)
 
 
 class TestDigamma:

@@ -211,7 +211,7 @@ class TestMiProfile:
 
             return wrapper
 
-        classwise_row = estimation._classwise_row
+        classwise = estimation.mi_classwise
 
         def row(codes, partners, cfg):
             # One partition of the codes serves every partner.
@@ -219,16 +219,15 @@ class TestMiProfile:
             for z in partners:
                 calls["pair"].append(frozenset({codes.values.tobytes(), z.values.tobytes()}))
                 routed["classwise"] += 1
-            return classwise_row(codes, partners, cfg)
+            return classwise(codes, partners, cfg)
 
         for mod in (estimation, metrics):
-            monkeypatch.setattr(mod, "_classwise_row", row)
+            monkeypatch.setattr(mod, "mi_classwise", row)
         for name, kind in (
             ("entropy_discrete", "entropy"),
             ("entropy_continuous", "entropy"),
             ("_joint_entropy_discrete", "pair"),
             ("mi_continuous_detailed", "pair"),
-            ("mi_classwise", "pair"),
             ("mi_discrete", "mi_discrete"),
         ):
             wrapper = counted(getattr(estimation, name), kind)
@@ -249,7 +248,6 @@ class TestMiProfile:
         assert routed["_joint_entropy_discrete"] == 5
         assert routed["mi_continuous_detailed"] == 2
         assert routed["classwise"] == 8
-        assert routed["mi_classwise"] == 0
         assert sorted(partitions) == sorted(key[:2] + lat_key[:2])
         assert calls["mi_discrete"] == []
 

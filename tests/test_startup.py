@@ -96,6 +96,14 @@ def test_import_loads_no_numpy_and_leaves_environment():
     assert json.loads(run_child(["-c", code])) == [[], True]
 
 
+def test_dir_lists_every_public_name():
+    # dir() is the first use of the package here, so it binds the names.
+    code = "import json, dmig\nnames = dir(dmig)\nprint(json.dumps([names, dmig.__all__]))"
+    names, public = json.loads(run_child(["-c", code]))
+    assert public and set(public) <= set(names)
+    assert names == sorted(names)
+
+
 def test_module_run_writes_golden_bytes(tmp_path):
     path, out = tmp_path / "noisy_discrete.csv", tmp_path / "out.report"
     write_dataset(DATASETS["noisy_discrete"](), path)
