@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import pickle
 import sys
 from pathlib import Path
 
@@ -81,16 +82,90 @@ def _out_path(flag: str | None, default: Path, inputs: list[str]) -> Path:
     return out
 
 
+# Set by dmig.__main__ before any thread starts: only then may eval fork.
+# A caller of main(argv) may hold threads or resources that a fork copies.
+_OWN_PROCESS = False
+
+
+def _evaluate_share(paths: list[str], cfg: EstimatorConfig, workers: int) -> list:
+    """The reports of paths in order, up to the first failure, which ends the list."""
+    share = []
+    for path in paths:
+        try:
+            share.append(evaluate(read_dataset(path), cfg, workers=workers))
+        except Exception as exc:
+            return share + [exc]
+    return share
+
+
+def _evaluate_forked(paths: list[str], cfg: EstimatorConfig, cpus: list[int]) -> list[list]:
+    """Run share j of n = len(cpus), paths[j::n], with one worker pinned to cpus[j].
+
+    This process runs share 0 and forked child j share j, which it
+    pickles back through a pipe. Unpinned, a child stays on its parent's CPU.
+    """
+    n, children, shares = len(cpus), [], []
+    saved = os.sched_getaffinity(0)
+    try:
+        for j in range(1, n):
+            read_end, write_end = os.pipe()
+            pid = os.fork()
+            if pid == 0:  # the child never returns
+                status = 1
+                try:
+                    os.close(read_end)
+                    os.sched_setaffinity(0, {cpus[j]})
+                    with open(write_end, "wb") as pipe:
+                        pickle.dump(_evaluate_share(paths[j::n], cfg, 1), pipe)
+                    status = 0
+                finally:
+                    os._exit(status)
+            os.close(write_end)
+            children.append((pid, read_end))
+        os.sched_setaffinity(0, {cpus[0]})
+        shares.append(_evaluate_share(paths[0::n], cfg, 1))
+    finally:
+        os.sched_setaffinity(0, saved)
+        for pid, read_end in children:
+            with open(read_end, "rb") as pipe:
+                data = pipe.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            died = ChildProcessError(f"an epoch worker exited with code {code}")
+            shares.append(pickle.loads(data) if code == 0 else [died])  # at its first epoch
+    return shares
+
+
+def _evaluate_epochs(paths: list[str], cfg: EstimatorConfig, workers: int) -> list[MetricReport]:
+    """The reports of paths in order, or the failure the serial loop meets first.
+
+    In dmig's own process, up to `workers` processes share the epochs, one
+    per allowed CPU, since a class-wise row holds the GIL.
+    """
+    cpus = []
+    if _OWN_PROCESS and hasattr(os, "sched_getaffinity"):
+        cpus = sorted(os.sched_getaffinity(0))
+    n = min(workers, len(paths), len(cpus))
+    if n > 1:
+        shares = _evaluate_forked(paths, cfg, cpus[:n])
+    else:
+        n, shares = 1, [_evaluate_share(paths, cfg, workers)]
+    reports = [None] * len(paths)
+    for j, share in enumerate(shares):
+        reports[j:j + n * len(share):n] = share
+    # Every epoch before the first failure was evaluated.
+    failure = next((r for r in reports if isinstance(r, Exception)), None)
+    if failure is not None:
+        raise failure
+    return reports
+
+
 def cmd_eval(args: argparse.Namespace) -> int:
     cfg = _estimator_config(args)
     if args.workers < 1:
         raise SpecValidationError(f"--workers must be >= 1, got {args.workers}")
     kind = "report" if len(args.dataset) == 1 else "series"
     out = _out_path(args.out, Path(args.dataset[0]).with_suffix(f".{kind}"), args.dataset)
-    series = [
-        (t, evaluate(read_dataset(path), cfg, workers=args.workers))
-        for t, path in enumerate(args.dataset)
-    ]
+    series = list(enumerate(_evaluate_epochs(args.dataset, cfg, args.workers)))
     if kind == "report":
         write_report(series[0][1], out)
     else:

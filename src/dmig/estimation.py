@@ -176,7 +176,9 @@ class cKDTree:
 
     def query(self, k: int) -> np.ndarray:
         """Each point's distance to its k-th nearest other point."""
-        return _kth_distances(self, k)
+        # An edge or distance past the float64 maximum is inf, still in order.
+        with np.errstate(over="ignore"):
+            return _kth_distances(self, k)
 
 
 class _Grid:
@@ -535,7 +537,7 @@ def _jittered(col: SampleColumn) -> np.ndarray:
     The noise stream is keyed by (_SEED, column content), not by argument
     position, so mi(x, y) and mi(y, x) see identical point clouds and the
     estimates agree bit for bit. A constant column returns the values
-    unchanged.
+    unchanged. Where adding the noise overflows float64, it is subtracted.
     """
     vals = col.values
     sd = _std(vals)
@@ -545,7 +547,13 @@ def _jittered(col: SampleColumn) -> np.ndarray:
         _SEED.to_bytes(8, "little") + vals.tobytes(), digest_size=16
     ).digest()
     rng = np.random.default_rng(int.from_bytes(key, "little"))
-    return vals + (_JITTER * sd) * rng.random(vals.size)
+    noise = (_JITTER * sd) * rng.random(vals.size)
+    with np.errstate(over="ignore"):
+        out = vals + noise
+    over = np.isinf(out)
+    if over.any():
+        out[over] = vals[over] - noise[over]
+    return out
 
 
 def _plugin_entropy(counts: np.ndarray, n: int) -> float:
@@ -587,8 +595,13 @@ def entropy_continuous(a: SampleColumn, cfg: EstimatorConfig) -> float:
             "coincident samples: k-th neighbor distance is zero, "
             "differential entropy undefined (tied values: declare the column discrete)"
         )
+    with np.errstate(over="ignore"):
+        logs = np.log(2.0 * eps)
+    # 2 * eps overflows float64 only where eps passes half its maximum.
+    over = np.isinf(logs)
+    logs[over] = np.log(eps[over]) + math.log(2.0)
     n = a.n
-    return digamma(n) - digamma(cfg.k) + math.fsum(np.log(2.0 * eps)) / n
+    return digamma(n) - digamma(cfg.k) + math.fsum(logs) / n
 
 
 def _kth_gap(ordered: np.ndarray, k: int) -> np.ndarray:
@@ -602,20 +615,22 @@ def _kth_gap(ordered: np.ndarray, k: int) -> np.ndarray:
     the two runs is min over i = 0..k of max(L_i, R_(k-i)), with
     L_0 = R_0 = -inf: k + 1 elementwise passes in O(n) memory. Padding
     with k infinities on each side makes every gap defined; with at least
-    k + 1 values the result is finite. The radii follow ordered.
+    k + 1 values the result is finite, or inf where a gap passes the
+    float64 maximum. The radii follow ordered.
     """
     n = ordered.size
     inf = np.full(k, np.inf)
     padded = np.concatenate((-inf, ordered, inf))
     mid = padded[k:k + n]
-    out = padded[2 * k:] - mid                     # i = 0: R_k
-    np.minimum(out, mid - padded[:n], out=out)     # i = k: L_k
-    left, right = np.empty(n), np.empty(n)
-    for i in range(1, k):
-        np.subtract(mid, padded[k - i:k - i + n], out=left)
-        np.subtract(padded[2 * k - i:2 * k - i + n], mid, out=right)
-        np.maximum(left, right, out=left)
-        np.minimum(out, left, out=out)
+    with np.errstate(over="ignore"):
+        out = padded[2 * k:] - mid                     # i = 0: R_k
+        np.minimum(out, mid - padded[:n], out=out)     # i = k: L_k
+        left, right = np.empty(n), np.empty(n)
+        for i in range(1, k):
+            np.subtract(mid, padded[k - i:k - i + n], out=left)
+            np.subtract(padded[2 * k - i:2 * k - i + n], mid, out=right)
+            np.maximum(left, right, out=left)
+            np.minimum(out, left, out=out)
     return out
 
 
@@ -642,18 +657,20 @@ def _count_within(ordered: np.ndarray, order: np.ndarray, eps: np.ndarray) -> np
     live = radius > 0.0
     x = ordered[live]
     r = radius[live]
-    lo = np.searchsorted(u, x - r, side="left")
-    hi = np.searchsorted(u, x + r, side="right")
-    while True:
-        out = np.abs(u[lo] - x) >= r
-        if not out.any():
-            break
-        lo += out
-    while True:
-        out = np.abs(u[hi - 1] - x) >= r
-        if not out.any():
-            break
-        hi -= out
+    # A bound or distance past the float64 maximum is inf, still in order.
+    with np.errstate(over="ignore"):
+        lo = np.searchsorted(u, x - r, side="left")
+        hi = np.searchsorted(u, x + r, side="right")
+        while True:
+            out = np.abs(u[lo] - x) >= r
+            if not out.any():
+                break
+            lo += out
+        while True:
+            out = np.abs(u[hi - 1] - x) >= r
+            if not out.any():
+                break
+            hi -= out
     counts = np.zeros(ordered.size, dtype=np.int64)
     counts[order[live]] = below[hi] - below[lo] - 1
     return counts

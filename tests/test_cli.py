@@ -105,6 +105,25 @@ class TestEval:
         assert all(math.isfinite(v) for a in huge for v in (a.mig, a.dmig, a.denominator))
         assert huge[1] == reports[0].per_attribute[1]
 
+    def test_continuous_attribute_at_the_float64_maximum(self, tmp_path, capsys):
+        # Adding the tie-breaking jitter to that value overflows float64.
+        rng = np.random.default_rng(5)
+        a1 = rng.standard_normal(200)
+        a1[0] = np.finfo(np.float64).max
+        a2 = rng.integers(0, 4, 200).astype(float)
+        ds = Dataset(latents=np.column_stack([rng.standard_normal(200),
+                                              a2 + 0.3 * rng.standard_normal(200)]),
+                     attributes=(SampleColumn(a1, kind="continuous"),
+                                 SampleColumn(a2, kind="discrete")))
+        p = tmp_path / "max.csv"
+        write_dataset(ds, p)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["eval", str(p)]) == 0
+        assert capsys.readouterr().err == ""
+        records = read_report(p.with_suffix(".report")).per_attribute
+        assert all(math.isfinite(v) for a in records for v in (a.mig, a.dmig, a.denominator))
+
 
 class TestSynth:
     def test_gaussian_writes_dataset_and_truth(self, tmp_path):

@@ -8,6 +8,7 @@ and brute-force enumeration over small discrete tables.
 import dataclasses
 import math
 import tracemalloc
+import warnings
 from collections import Counter
 from fractions import Fraction
 
@@ -58,6 +59,7 @@ H_NORMAL_S01 = -0.883646559789373    # 0.5 * ln(2*pi*e*0.01)
 I_GAUSS_08 = 0.5108256237659907      # -0.5 * ln(1 - 0.8^2)
 HC_GAUSS_08 = 0.908112909438682      # H_STD_NORMAL - I_GAUSS_08
 I_TABLE = 0.19274475702175753        # enumeration over {0.4,0.1,0.1,0.4}
+MAX = np.finfo(np.float64).max
 
 CFG = EstimatorConfig()
 
@@ -796,6 +798,30 @@ class TestInvariants:
         with tie_noise(seed=1):
             b = mi_continuous_detailed(x, y, CFG).value
         assert a != b
+
+    @pytest.mark.parametrize("extremes", [{0: MAX}, {5: -MAX}, {0: MAX, 1: -MAX}],
+                             ids=["max", "-max", "both"])
+    def test_values_at_the_float64_maximum_give_finite_estimates(self, extremes):
+        # Adding the jitter to MAX overflows, so it is subtracted there; a
+        # distance, block edge or 2 * eps past MAX is inf, and keeps its order.
+        rng = np.random.default_rng(53)
+        x, y = rng.standard_normal(200), rng.standard_normal(200)
+        for i, v in extremes.items():
+            x[i] = v
+        codes = disc(rng.integers(0, 3, 200))
+        jittered = _jittered(cont(x))
+        plain = ~np.isin(np.arange(200), [i for i, v in extremes.items() if v > 0])
+        assert np.all(jittered[plain] >= x[plain]) and np.all(jittered[~plain] < x[~plain])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = [
+                entropy_continuous(cont(x), CFG),
+                mi_continuous_detailed(cont(x), cont(y), CFG).value,
+                mi_continuous_detailed(cont(y), cont(x), CFG).value,
+                mi_classwise(codes, [cont(y), cont(x)], CFG)[1].value,
+            ]
+        assert all(math.isfinite(v) for v in values)
+        assert values[1] == values[2]
 
     @settings(max_examples=15, deadline=None)
     @given(st.integers(min_value=0, max_value=2**31 - 1))

@@ -4,8 +4,9 @@ dmig imports no scipy: importing the package and evaluating any dataset,
 continuous pairs included and with --workers, load no scipy module.
 Importing the package loads no numpy and leaves the environment alone;
 the CLI entry runs numpy's BLAS on one thread unless the caller set a
-thread count. Each test starts its own interpreter, since this one has
-scipy and numpy loaded.
+thread count, and forks its epoch processes without multiprocessing.
+Each test starts its own interpreter, since this one has scipy and numpy
+loaded.
 """
 
 import json
@@ -83,6 +84,27 @@ def test_continuous_eval_loads_no_scipy(tmp_path, workers):
     write_dataset(DATASETS["continuous_m3"](), path)
     assert scipy_modules_after(eval_code(path, "--workers", workers, "--out", out)) == []
     assert out.read_bytes() == (GOLDEN / "continuous_m3.report").read_bytes()
+
+
+def test_series_eval_through_the_entry_point_loads_no_process_pool(tmp_path):
+    # Epoch processes are plain forks: no multiprocessing machinery loads.
+    paths = []
+    for name in ("discrete", "noisy_discrete", "sentinel"):
+        paths.append(str(tmp_path / f"{name}.csv"))
+        write_dataset(DATASETS[name](), paths[-1])
+    argv = ["dmig", "eval", *paths, "--workers", "2", "--out", str(tmp_path / "run.series")]
+    code = (
+        "import json, runpy, sys\n"
+        f"sys.argv = {argv!r}\n"
+        "try:\n"
+        "    runpy.run_module('dmig', run_name='__main__')\n"
+        "except SystemExit as exc:\n"
+        "    assert exc.code == 0, exc.code\n"
+        "print(json.dumps(sorted(m for m in sys.modules\n"
+        "                        if m.partition('.')[0] == 'multiprocessing'\n"
+        "                        or m == 'concurrent.futures.process')))"
+    )
+    assert json.loads(run_child(["-c", code])) == []
 
 
 def test_import_loads_no_numpy_and_leaves_environment():
