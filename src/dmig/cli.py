@@ -335,7 +335,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_estimator_flags(p_eval)
     p_eval.add_argument("--out", default=None, help="output report/series path")
     p_eval.add_argument(
-        "--workers", type=int, default=1, help="threads for the MI grid (default %(default)s)"
+        "--workers", type=int, default=1,
+        help="threads for the MI grid, and the pinned epoch processes of a series "
+        "run as the dmig program (default %(default)s)",
     )
     p_eval.set_defaults(func=cmd_eval)
 

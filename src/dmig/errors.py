@@ -42,9 +42,10 @@ class InsufficientSamplesError(DmigError):
 
 
 class DegenerateSampleError(DmigError):
-    """An estimate is undefined on the sample: a continuous column has zero
-    variance (after jitter) or, in the KL entropy, coincident samples, or
-    the codes of class-wise MI have no class of at least 2 samples."""
+    """An estimate is undefined on the sample: a column holds NaN or inf,
+    k + 1 samples of the KL entropy coincide after jitter (a constant
+    column among them), or the codes of class-wise MI have no class of at
+    least 2 samples."""
 
 
 class UndefinedCorrelationError(DmigError):

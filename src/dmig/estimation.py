@@ -521,26 +521,20 @@ _JITTER = 1e-10
 _SEED = 0
 
 
-def _std(vals: np.ndarray) -> float:
-    """np.std of vals; where that overflows, that of vals / max |vals| scaled back."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        sd = float(np.std(vals))
-        if not math.isfinite(sd):
-            top = float(np.max(np.abs(vals)))
-            sd = float(np.std(vals / top)) * top
-    return sd
-
-
 def _jittered(col: SampleColumn) -> np.ndarray:
     """Return column values with deterministic tie-breaking noise.
 
     The noise stream is keyed by (_SEED, column content), not by argument
     position, so mi(x, y) and mi(y, x) see identical point clouds and the
-    estimates agree bit for bit. A constant column returns the values
+    estimates agree bit for bit. The spread is np.std of the column scaled
+    by the power of two that brings its largest magnitude into [0.5, 1),
+    scaled back: exact where np.std itself neither overflows nor
+    underflows, and finite anywhere. A constant column returns the values
     unchanged. Where adding the noise overflows float64, it is subtracted.
     """
     vals = col.values
-    sd = _std(vals)
+    _, e = math.frexp(float(np.max(np.abs(vals))))
+    sd = math.ldexp(float(np.std(np.ldexp(vals, -e))), e)
     if sd == 0.0:
         return vals
     key = hashlib.blake2b(
@@ -582,18 +576,19 @@ def entropy_continuous(a: SampleColumn, cfg: EstimatorConfig) -> float:
 
     H = psi(N) - psi(k) + (1/N) * sum_i ln(2 * eps_i), where eps_i is the
     distance from sample i to its k-th nearest neighbor. May be negative
-    for concentrated distributions.
+    for concentrated distributions. Refused where the jitter leaves k + 1
+    values tied, naming the most frequent value and its share of the rows.
     """
     _require_kind(a, CONTINUOUS, "entropy_continuous")
     _require_samples(a.n, cfg.k)
-    pts = _jittered(a)
-    if _std(pts) == 0.0:
-        raise DegenerateSampleError("zero-variance column after jitter")
-    eps = _kth_gap(np.sort(pts), cfg.k)
+    eps = _kth_gap(np.sort(_jittered(a)), cfg.k)
     if np.any(eps == 0.0):
+        values, counts = np.unique(a.values, return_counts=True)
+        top = int(np.argmax(counts))
         raise DegenerateSampleError(
-            "coincident samples: k-th neighbor distance is zero, "
-            "differential entropy undefined (tied values: declare the column discrete)"
+            f"coincident samples: {float(values[top])!r} holds {counts[top] / a.n:.1%} of "
+            f"{a.n} rows, so a k-th neighbor distance is zero and the differential entropy "
+            "is undefined (tied values: declare the column discrete)"
         )
     with np.errstate(over="ignore"):
         logs = np.log(2.0 * eps)

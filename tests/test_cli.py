@@ -8,11 +8,14 @@ import numpy as np
 import pytest
 
 from dmig import (
-    Dataset, SampleColumn, gaussian_truth, read_report, write_dataset, write_truth,
+    Dataset, SampleColumn, gaussian_truth, read_report, read_series, write_dataset,
+    write_truth,
 )
 from dmig import cli
 from dmig.cli import main
 from dmig.synthetic import FAMILIES
+
+from conftest import tie_noise
 from test_golden import GOLDEN
 
 
@@ -123,6 +126,31 @@ class TestEval:
         assert capsys.readouterr().err == ""
         records = read_report(p.with_suffix(".report")).per_attribute
         assert all(math.isfinite(v) for a in records for v in (a.mig, a.dmig, a.denominator))
+
+    def test_tied_latent_at_a_tiny_scale_keeps_its_mig(self, tmp_path):
+        # A 4-level attribute whose latent is rounded to 0.1. np.std of that
+        # latent underflows to 0 at these scales; with no jitter the ties
+        # read MIG ~1.95 with dmig_above_one. One jitter stream moves this
+        # tie-heavy MIG by about 0.01 (ROADMAP item 12), so each scale is
+        # the mean over 20 seeds.
+        rng = np.random.default_rng(0)
+        a = rng.integers(0, 4, 2000).astype(float)
+        tied = np.round(a + rng.standard_normal(2000), 1)
+        noise = rng.standard_normal(2000)
+        paths = []
+        for s in (1.0, 1e-200, 2.0**-900):
+            paths.append(str(tmp_path / f"{s:g}.csv"))
+            write_dataset(Dataset(latents=np.column_stack([tied * s, noise]),
+                                  attributes=(SampleColumn(a, kind="discrete"),)), paths[-1])
+        out = tmp_path / "s.series"
+        records = []
+        for seed in range(20):
+            with tie_noise(seed=seed):
+                assert main(["eval", *paths, "--out", str(out)]) == 0
+            records.append([r.per_attribute[0] for _, r in read_series(out)])
+        assert not any(r.flags for epoch in records for r in epoch)
+        unit, *tiny = np.mean([[r.mig for r in epoch] for epoch in records], axis=0)
+        assert tiny == pytest.approx([unit, unit], abs=0.01)
 
 
 class TestSynth:

@@ -7,6 +7,7 @@ and brute-force enumeration over small discrete tables.
 
 import dataclasses
 import math
+import re
 import tracemalloc
 import warnings
 from collections import Counter
@@ -171,6 +172,25 @@ class TestEntropyContinuous:
         vals = [1.0] * 50 + [2.0] * 50
         with tie_noise(jitter=0.0), pytest.raises(DegenerateSampleError):
             entropy_continuous(cont(vals), CFG)
+
+    @pytest.mark.parametrize("vals, named", [
+        (np.full(100, 0.5), "0.5 holds 100.0% of 100 rows"),
+        # 1e-10 of the spread is below one ulp of 1e17 (16), so the ties survive.
+        (np.concatenate([np.full(300, 1e17), 1e17 + 16.0 * np.arange(1, 201)]),
+         "1e+17 holds 60.0% of 500 rows"),
+    ], ids=["constant", "ties_below_one_ulp"])
+    def test_refusal_names_the_most_frequent_value(self, vals, named):
+        match = re.escape(named) + ".*declare the column discrete"
+        with pytest.raises(DegenerateSampleError, match=match):
+            entropy_continuous(cont(vals), CFG)
+
+    @pytest.mark.parametrize("k", [-900, -1000])
+    def test_power_of_two_scale_shifts_by_k_ln2(self, k):
+        # np.std of such a column underflows to 0; only a zero k-th gap may refuse it.
+        g = np.random.default_rng(14).standard_normal(2000)
+        h = entropy_continuous(cont(g), CFG)
+        assert entropy_continuous(cont(np.ldexp(g, k)), CFG) == pytest.approx(
+            h + k * LN2, abs=1e-6)
 
     def test_kind_mismatch(self):
         with pytest.raises(KindMismatchError):
@@ -822,6 +842,34 @@ class TestInvariants:
             ]
         assert all(math.isfinite(v) for v in values)
         assert values[1] == values[2]
+
+    def test_jitter_of_a_column_spanning_the_float64_range_is_finite(self):
+        vals = np.tile([MAX, -MAX], 100)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            jittered = _jittered(cont(vals))
+        assert np.all(np.isfinite(jittered)) and np.all(np.abs(jittered) < MAX)
+
+    def test_tied_column_cells_keep_their_value_at_a_tiny_scale(self):
+        # N(0, 1) plus 4-level codes, rounded to 0.1. np.std of the scaled
+        # columns underflows to 0. One jitter stream moves these tie-heavy
+        # estimates by about 0.01 (ROADMAP item 12), so each side is the
+        # mean over 20 seeds.
+        rng = np.random.default_rng(0)
+        codes = rng.integers(0, 4, 2000).astype(float)
+        tied = np.round(codes + rng.standard_normal(2000), 1)
+
+        def cells(scale):
+            out = []
+            for seed in range(20):
+                with tie_noise(seed=seed):
+                    out.append((
+                        mi_classwise(disc(codes), [cont(tied * scale)], CFG)[0].value,
+                        mi_continuous_detailed(cont(tied * scale), cont(codes * scale),
+                                               CFG).value))
+            return np.mean(out, axis=0)
+
+        assert cells(2.0**-900) == pytest.approx(cells(1.0), abs=0.02)
 
     @settings(max_examples=15, deadline=None)
     @given(st.integers(min_value=0, max_value=2**31 - 1))

@@ -12,13 +12,15 @@ R4  negate one latent (SCC may change sign).
 The design has one 4-level discrete attribute and two correlated
 continuous ones over D = 6 continuous latents, so no two runner-up
 candidates tie exactly and the lowest-index rule never picks by column
-order. Where they do tie, R1 can fail; that case is not drawn here.
+order. Where they do tie, R1 can fail; test_r1_exact_runner_up_tie draws
+that case and pins what the rule does there.
 """
 
 import numpy as np
 import pytest
 
-from dmig import Dataset, EstimatorConfig, SampleColumn, evaluate
+from dmig import Dataset, EstimatorConfig, SampleColumn, entropy_discrete, evaluate
+from dmig.estimation import conditional_entropy
 
 CFG = EstimatorConfig()
 N, D = 1500, 6
@@ -112,3 +114,40 @@ def test_r4_negated_latent(seed, bases):
     assert [key(r) for r in got] == [key(r) for r in bases[seed]]
     for new, old, reg in zip(got, bases[seed], ds.regularized_map):
         assert new.scc == pytest.approx(-old.scc if reg == j else old.scc, abs=1e-12)
+
+
+def test_r1_exact_runner_up_tie():
+    """R1 where two candidate dims tie exactly: the lowest-index rule decides.
+
+    z3 is an exact copy of z2, so mapping c to z3 instead of z2 is R1's
+    swap of those two columns, with the map, on identical data. The tie
+    leaves MIG bit-equal, but DMIG, its branch and its denominator follow
+    whichever tied dim has the lower index. ROADMAP item 4 is to show the
+    runner-up margin (here 0) that makes this choice visible.
+    """
+    rng = np.random.default_rng(3)
+    a = rng.integers(0, 4, N).astype(float)
+    c = np.where(rng.random(N) < 0.7, a, rng.integers(0, 4, N)).astype(float)
+    z1 = a + 0.3 * rng.standard_normal(N)
+    z2 = c + 0.3 * rng.standard_normal(N)
+    attrs = (SampleColumn(a, kind="discrete"), SampleColumn(c, kind="discrete"))
+    (a_z2, c_z2), (a_z3, c_z3) = (
+        evaluate(Dataset(latents=np.column_stack([z1, z2, z2]), attributes=attrs,
+                         regularized_map=reg, names=("a", "c")), CFG).per_attribute
+        for reg in [(0, 1), (0, 2)])
+
+    assert a_z2.mig.hex() == a_z3.mig.hex()
+    assert a_z2.top_dim == a_z3.top_dim == 0
+    assert a_z2.runner_up_dim == a_z3.runner_up_dim == 1      # z2 before its copy z3
+    # Runner-up z2 is c's regularized dim: DMIG conditions on c.
+    assert a_z2.branch == "regularized"
+    assert a_z2.denominator == conditional_entropy(*attrs, CFG)
+    # Runner-up z2 is nobody's regularized dim: DMIG is MIG.
+    assert a_z3.branch == "unregularized"
+    assert a_z3.denominator == entropy_discrete(attrs[0])
+    assert a_z3.dmig == a_z3.mig < a_z2.dmig
+    # c's top dim is z2 either way, so mapping c to z3 reads as a failure.
+    assert c_z2.top_dim == c_z3.top_dim == 1
+    assert c_z2.mig == c_z3.mig == 0.0
+    assert c_z2.flags == frozenset()
+    assert c_z3.flags == frozenset({"regularization_failure"})
