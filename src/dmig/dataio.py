@@ -9,10 +9,12 @@ Dataset files are CSV with a header declaring each column as `z<k>`
 (latent dimension k, 1-based) or `a<name>:<kind>` with kind `cont` or
 `disc`. Optional `#map a<name> -> z<k>` lines before the header override
 the default identity assignment of attributes to latent dimensions.
-Each body cell reads as the value float() gives it, bit for bit: a body
-of plain number bytes is parsed by numpy's C reader, and any other body,
-or one the C reader rejects or reads into another shape, by a line loop
-that names the first line it rejects.
+Each body cell reads as the value float() gives it, bit for bit. The
+reader decodes and splits only the head, through the header; the body
+stays bytes. A body of plain number bytes goes to numpy's C reader a
+block of lines at a time, so its lines are never all held at once; any
+other body, or one the C reader rejects or reads into another shape, is
+split and goes to a line loop that names the first line it rejects.
 
 Report files are line-oriented key/value text; series files hold one
 report block per epoch between `epoch <t>` and `end` lines, with epochs
@@ -113,18 +115,21 @@ def _write(path: str | Path, kind: str, chunks: Iterable[list[str]]) -> None:
             f.write("\n")
 
 
-def _read(path: str | Path, kind: str) -> tuple[Path, list[str], int]:
-    """Read a file, check its format and kind lines; return the body start."""
-    path = Path(path)
-    data = path.read_bytes()
+def _decode(data: bytes, path: Path, lines_before: int = 0) -> str:
+    """data as UTF-8 text; a bad byte names its line.
+
+    Lines are counted as str.splitlines counts them, after lines_before
+    whole lines that precede data in the file.
+    """
     try:
-        text = data.decode("utf-8")
+        return data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        # The line that holds the first bad byte, as splitlines counts lines.
-        line = len((data[:exc.start].decode("utf-8") + "x").splitlines())
+        line = lines_before + len((data[:exc.start].decode("utf-8") + "x").splitlines())
         raise FileFormatError(f"{path}:{line}: not UTF-8 text ({exc.reason})") from None
-    del data  # not held through the split, which keeps peak memory down
-    lines = text.splitlines()
+
+
+def _check_kind(path: Path, lines: list[str], kind: str) -> int:
+    """Check the format and kind lines atop lines; return the index after them."""
     if not lines or lines[0] != FORMAT_LINE:
         raise FileFormatError(f"{path}:1: expected leading '{FORMAT_LINE}' line")
     if len(lines) > 1 and lines[1].startswith("#kind "):
@@ -133,12 +138,20 @@ def _read(path: str | Path, kind: str) -> tuple[Path, list[str], int]:
             raise FileFormatError(
                 f"{path}:2: expected '#kind {kind}', found '#kind {found}'"
             )
-        return path, lines, 2
+        return 2
     if kind != "dataset":
         # Dataset files may omit the kind line (the CSV header is
         # self-identifying); report/series/truth files may not.
         raise FileFormatError(f"{path}:2: expected '#kind {kind}' line")
-    return path, lines, 1
+    return 1
+
+
+def _read(path: str | Path, kind: str) -> tuple[Path, list[str], int]:
+    """Read a file, check its format and kind lines; return the body start."""
+    path = Path(path)
+    # The bytes are not held through the split, which keeps peak memory down.
+    lines = _decode(path.read_bytes(), path).splitlines()
+    return path, lines, _check_kind(path, lines, kind)
 
 
 # ---------------------------------------------------------------------------
@@ -179,13 +192,82 @@ def write_dataset(ds: Dataset, path: str | Path) -> None:
     _write(path, "dataset", itertools.chain([lines], _body_blocks(ds)))
 
 
+# Bytes of a dataset file decoded and split into lines at a time.
+_BLOCK_BYTES = 1 << 16
+
+
+def _read_dataset_file(path: Path) -> tuple[list[str], bytes]:
+    """The lines of a dataset file's head, and the bytes of its body.
+
+    The head runs through the column header, the first line after the
+    first that does not start with "#". Only the head is decoded and
+    split, into the lines that str.splitlines gives on the whole text;
+    the body is checked to be UTF-8 and kept as bytes.
+    """
+    with open(path, "rb") as f:
+        size = _BLOCK_BYTES
+        while True:
+            prefix = f.read(size)
+            whole = len(prefix) < size
+            if not whole:
+                # A "\n" ends every line break it is in and is part of no
+                # longer character, so the bytes up to the last one are
+                # whole lines.
+                prefix = prefix[:prefix.rfind(b"\n") + 1]
+            lines = _decode(prefix, path).splitlines(keepends=True)
+            header = next((i for i, ln in enumerate(lines) if i and ln[:1] != "#"), len(lines))
+            if header < len(lines) or whole:
+                break
+            size *= 4
+            f.seek(0)
+        head = "".join(lines[:header + 1])
+        f.seek(len(head.encode("utf-8")))
+        body = f.read()
+    lines = head.splitlines()
+    if not body.isascii():
+        _decode(body, path, len(lines))
+    return lines, body
+
+
 # The bytes of a body that numpy's C reader reads as _parse_rows does.
 # Beyond them it strips more space around a cell, such as "\xa0" and
 # "\x1f", which _parse_rows rejects.
 _PLAIN_BODY = b"0123456789+-.eE \t,\n"
 
 
-def _parse_rows(body: list[str], path: Path, first_lineno: int, width: int) -> np.ndarray:
+def _plain_rows(body: bytes) -> int | None:
+    """The line count of a body that numpy's C reader may take, or None.
+
+    Such a body holds only _PLAIN_BODY bytes and the "\r" of each "\r\n"
+    (the C reader takes a lone "\r" for a break inside a line), so its
+    lines are those of str.splitlines, each ended by "\n" but perhaps
+    the last. Its first line is not empty: the C reader skips an empty
+    line, which changes the table's shape, but warns when none is left.
+    """
+    other = body.translate(None, _PLAIN_BODY)
+    if (other and other != b"\r" * body.count(b"\r\n")) or body.startswith((b"\n", b"\r\n")):
+        return None
+    return body.count(b"\n") + (body[-1:] not in (b"", b"\n"))
+
+
+def _lines(body: bytes) -> Iterator[str]:
+    """The lines of body as str.splitlines gives them, made a block at a time.
+
+    A block is _BLOCK_BYTES or so and ends after a "\n", which cuts no
+    line break or character.
+    """
+
+    def blocks() -> Iterator[list[str]]:
+        lo = 0
+        while lo < len(body):
+            hi = body.find(b"\n", lo + _BLOCK_BYTES) + 1 or len(body)
+            yield body[lo:hi].decode("utf-8").splitlines()
+            lo = hi
+
+    return itertools.chain.from_iterable(blocks())
+
+
+def _parse_rows(body: Iterable[str], path: Path, first_lineno: int, width: int) -> np.ndarray:
     """The body's table, read line by line with float(); names a rejected line."""
     values: list[float] = []
     for lineno, line in enumerate(body, start=first_lineno):
@@ -205,27 +287,53 @@ def _parse_rows(body: list[str], path: Path, first_lineno: int, width: int) -> n
     return np.array(values, dtype=np.float64).reshape(-1, width)
 
 
-def _parse_body(body: list[str], path: Path, first_lineno: int, width: int) -> np.ndarray:
+def _parse_body(
+    body: bytes | list[str], rows: int, path: Path, first_lineno: int, width: int
+) -> np.ndarray:
     """The body's table, equal bit for bit to _parse_rows' or with its error.
 
-    A body of plain bytes is parsed by numpy's C reader, which calls the
-    same strtod as float(). The C reader skips an empty line, and warns
-    when no line is left, so a body with one goes to _parse_rows, as
-    does one that it rejects or reads into another shape.
+    A body still in bytes is plain (see _plain_rows) and has rows lines.
+    numpy's C reader, which calls the same strtod as float(), reads its
+    lines a block at a time, so that they are never all held at once. A
+    body that the C reader rejects or reads into another shape goes to
+    _parse_rows as every other body does.
     """
-    if "" not in body and not "\n".join(body).encode().translate(None, _PLAIN_BODY):
+    if isinstance(body, bytes):
         try:
-            table = np.loadtxt(body, delimiter=",", comments=None, dtype=np.float64, ndmin=2)
+            table = np.loadtxt(
+                _lines(body), delimiter=",", comments=None, dtype=np.float64, ndmin=2
+            )
         except ValueError:
             pass
         else:
-            if table.shape == (len(body), width):
+            if table.shape == (rows, width):
                 return table
+        body = _lines(body)
     return _parse_rows(body, path, first_lineno, width)
 
 
+def _check_table(
+    table: np.ndarray, attr_cols: list[tuple[str, str, int]], path: Path, first_lineno: int
+) -> None:
+    """Make the value checks of Dataset and SampleColumn, naming a line."""
+    if not np.isfinite(table).all():
+        r = int(np.argmin(np.isfinite(table).all(axis=1)))
+        bad = table[r][~np.isfinite(table[r])][0]
+        raise FileFormatError(f"{path}:{first_lineno + r}: non-finite value {bad}")
+    for name, kind, c in attr_cols:
+        col = table[:, c]
+        if kind == DISCRETE and not np.array_equal(col, np.floor(col)):
+            r = int(np.argmax(col != np.floor(col)))
+            raise FileFormatError(
+                f"{path}:{first_lineno + r}: non-integer code {format_float(col[r])} "
+                f"in a{name}:disc"
+            )
+
+
 def read_dataset(path: str | Path) -> Dataset:
-    path, lines, idx = _read(path, "dataset")
+    path = Path(path)
+    lines, body = _read_dataset_file(path)
+    idx = _check_kind(path, lines, "dataset")
 
     mapping: dict[str, tuple[int, int]] = {}  # name -> (latent index, line number)
     while idx < len(lines) and lines[idx].startswith("#"):
@@ -275,7 +383,11 @@ def read_dataset(path: str | Path) -> Dataset:
         raise FileFormatError(f"{path}:{header_lineno}: duplicate attribute names")
     if len(names) > d:
         raise FileFormatError(f"{path}:{header_lineno}: {len(names)} attributes exceed D={d}")
-    if len(lines) - header_lineno < 2:
+    rows = _plain_rows(body)
+    if rows is None:
+        body = list(_lines(body))
+        rows = len(body)
+    if rows < 2:
         raise FileFormatError(f"{path}:{header_lineno}: a dataset needs at least 2 body rows")
     # Unmapped attributes keep their own index; a later claim of a taken
     # latent is the map line at fault.
@@ -289,26 +401,20 @@ def read_dataset(path: str | Path) -> Dataset:
             raise FileFormatError(f"{path}:{lineno}: z{j + 1} is mapped to two attributes")
         taken.add(j)
 
-    table = _parse_body(lines[idx + 1:], path, header_lineno + 1, len(tokens))
-    finite = np.isfinite(table)
-    if not finite.all():
-        r = int(np.argmin(finite.all(axis=1)))
-        bad = table[r][~finite[r]][0]
-        raise FileFormatError(f"{path}:{header_lineno + 1 + r}: non-finite value {bad}")
-    for name, kind, c in attr_cols:
-        col = table[:, c]
-        if kind == DISCRETE and not np.array_equal(col, np.floor(col)):
-            r = int(np.argmax(col != np.floor(col)))
-            raise FileFormatError(
-                f"{path}:{header_lineno + 1 + r}: non-integer code {format_float(col[r])} "
-                f"in a{name}:disc"
-            )
+    table = _parse_body(body, rows, path, header_lineno + 1, len(tokens))
+    del body  # not held while the Dataset is built, which keeps peak memory down
+    _check_table(table, attr_cols, path, header_lineno + 1)
 
-    # Every check of Dataset and SampleColumn has been made above, with a line.
+    # Every check of Dataset and SampleColumn has been made, with a line.
+    # The attributes copy their columns and the latents are gathered
+    # before the table is dropped, so Dataset copies the latents without it.
+    attributes = tuple(SampleColumn(table[:, c], kind=kind) for _, kind, c in attr_cols)
+    latents = table[:, [z_cols[k] for k in range(1, d + 1)]]
+    del table
     reg = tuple(mapping[name][0] if name in mapping else i for i, name in enumerate(names))
     return Dataset(
-        latents=table[:, [z_cols[k] for k in range(1, d + 1)]],
-        attributes=tuple(SampleColumn(table[:, c], kind=kind) for _, kind, c in attr_cols),
+        latents=latents,
+        attributes=attributes,
         regularized_map=reg,
         names=tuple(names),
     )

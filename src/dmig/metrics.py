@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Callable, Literal
 
@@ -307,6 +306,9 @@ def mi_profile(ds: Dataset, cfg: EstimatorConfig, workers: int = 1) -> MIProfile
         context = f"MI estimation failed for {labels[x]} vs {labels[y]}"
         cells.append((context, _pair_cell, (cols[own], partners, cfg)))
     if workers > 1:
+        # Imported here: it loads logging and more, which no serial run needs.
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
             values = list(pool.map(_run_cell, cells))
     else:

@@ -31,6 +31,7 @@ from dmig import (
     write_series,
     write_truth,
 )
+from dmig import dataio
 from dmig.dataio import _BLOCK_ROWS, _parse_rows, format_float, parse_float
 from dmig.synthetic import discrete_truth, gaussian_truth
 from conftest import tie_noise
@@ -116,6 +117,22 @@ class TestDatasetRoundTrip:
         p.write_text("\n".join(lines) + "\n")
         assert read_dataset(p).digest() == ds.digest()
 
+    def test_header_longer_than_a_read_block(self, tmp_path):
+        # The reader finds the header in a first read of the file and reads
+        # more until it has the header whole: here it ends past 64 KiB.
+        rng = np.random.default_rng(5)
+        ds = Dataset(
+            latents=rng.standard_normal((3, 12_000)),
+            attributes=(SampleColumn(rng.integers(0, 2, 3).astype(float), kind="discrete"),),
+            regularized_map=(11_999,),
+            names=("é",),
+        )
+        p = tmp_path / "d.csv"
+        write_dataset(ds, p)
+        data = p.read_bytes()
+        assert data.index(b"\n", data.index(b"\nz1,") + 1) > 2**16
+        assert read_dataset(p).digest() == ds.digest()
+
     def test_unsafe_name_rejected_on_write(self, tmp_path):
         rng = np.random.default_rng(3)
         # str.splitlines() breaks a line at each of the last four characters.
@@ -157,6 +174,37 @@ def multi_block_dataset() -> Dataset:
     return ds
 
 
+def disc_codes_shape() -> Dataset:
+    return gen_discrete_joint(
+        SyntheticSpec(
+            family="discrete_joint", n=100_000, seed=7,
+            pmf=((0.22, 0.06, 0.05), (0.06, 0.22, 0.05), (0.05, 0.05, 0.24)),
+            d_total=2,
+        )
+    )[0]
+
+
+def cont_pair_shape() -> Dataset:
+    return gen_trajectory(
+        SyntheticSpec(
+            family="trajectory", n=25_000, seed=7, rho=0.8, noise_schedule=(0.3,), d_total=2,
+        )
+    )[0][1]
+
+
+# The shapes of the benchmark's disc_codes and cont_pair inputs, with
+# bounds on the tracemalloc peaks of writing and of reading them, each 1.5
+# times the peak measured. Writing the whole body at once peaked at 9.9
+# and 7.0 MiB; a block at a time peaks at 0.21 and 0.57 MiB. Reading
+# through a list of every line peaked at 15.7 and 7.2 MiB; reading the
+# body's bytes peaks at 6.1 and 3.7 MiB.
+MEMORY_SHAPES = pytest.mark.parametrize(
+    "build, write_mib, read_mib",
+    [(disc_codes_shape, 0.31, 9.2), (cont_pair_shape, 0.86, 5.6)],
+    ids=["discrete_codes", "trajectory_epoch"],
+)
+
+
 class TestDatasetBytes:
     @pytest.mark.parametrize(
         "build",
@@ -173,36 +221,8 @@ class TestDatasetBytes:
         body = [",".join(format_float(c[r]) for c in columns) for r in range(ds.n)]
         assert p.read_bytes() == ("\n".join(head + body) + "\n").encode()
 
-    @pytest.mark.parametrize(
-        "build, bound_mib",
-        [
-            # The shapes of the benchmark's disc_codes and cont_pair inputs.
-            # Writing the whole body at once peaked at 9.9 and 7.0 MiB; a
-            # block at a time peaks at 0.21 and 0.57 MiB, and the bounds
-            # are 1.5 times those.
-            (
-                lambda: gen_discrete_joint(
-                    SyntheticSpec(
-                        family="discrete_joint", n=100_000, seed=7,
-                        pmf=((0.22, 0.06, 0.05), (0.06, 0.22, 0.05), (0.05, 0.05, 0.24)),
-                        d_total=2,
-                    )
-                )[0],
-                0.31,
-            ),
-            (
-                lambda: gen_trajectory(
-                    SyntheticSpec(
-                        family="trajectory", n=25_000, seed=7, rho=0.8,
-                        noise_schedule=(0.3,), d_total=2,
-                    )
-                )[0][1],
-                0.86,
-            ),
-        ],
-        ids=["discrete_codes", "trajectory_epoch"],
-    )
-    def test_small_memory(self, tmp_path, build, bound_mib):
+    @MEMORY_SHAPES
+    def test_small_memory(self, tmp_path, build, write_mib, read_mib):
         ds = build()
         tracemalloc.start()
         try:
@@ -210,7 +230,20 @@ class TestDatasetBytes:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < bound_mib * 2**20
+        assert peak < write_mib * 2**20
+
+    @MEMORY_SHAPES
+    def test_read_in_small_memory(self, tmp_path, build, write_mib, read_mib):
+        ds = build()
+        write_dataset(ds, tmp_path / "d.csv")
+        del ds
+        tracemalloc.start()
+        try:
+            read_dataset(tmp_path / "d.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < read_mib * 2**20
 
 
 class TestDatasetErrors:
@@ -491,6 +524,87 @@ class TestDatasetBodyFuzz:
             return
         got = np.column_stack([ds.latents, *(col.values for col in ds.attributes)])
         assert np.array_equal(got.view(np.int64), table.view(np.int64))
+
+
+# Each line break of str.splitlines that a dataset's writer never writes,
+# and where one goes: inside a line (at an offset) or in place of its "\n".
+LINE_BREAKS = ["\r", "\x0b", "\x0c", "\x1c", "\x85", "\u2028"]
+BREAK_PLACES = {
+    "format-end": (0, None),
+    "kind-end": (1, None),
+    "map-inside": (2, 4),
+    "map-end": (3, None),
+    "header-inside": (4, 6),
+    "header-end": (4, None),
+    "body-first-cell": (5, 3),
+    "body-after-comma": (6, 4),
+    "body-line-end": (6, None),
+    "body-empty-line": (7, 0),
+    "body-last-end": (-1, None),
+}
+
+
+def dataset_outcome(p) -> tuple | str:
+    """read_dataset's table bits, names and map, or its error message."""
+    try:
+        ds = read_dataset(p)
+    except FileFormatError as exc:
+        return str(exc)
+    table = np.column_stack([ds.latents, *(col.values for col in ds.attributes)])
+    return table.view(np.int64).tolist(), ds.names, ds.regularized_map
+
+
+class TestLineBreaks:
+    @pytest.mark.parametrize("place", BREAK_PLACES)
+    @pytest.mark.parametrize("brk", LINE_BREAKS, ids=ascii)
+    @pytest.mark.filterwarnings("error")
+    def test_read_splits_lines_as_splitlines(self, tmp_path, brk, place):
+        # A file reads as the same file with each of its str.splitlines
+        # line breaks written "\n"; a body reads as the line loop gives it.
+        p = tmp_path / "d.csv"
+        write_dataset(fuzz_dataset(1, 6), p)
+        lines = p.read_text().split("\n")[:-1]
+        row, at = BREAK_PLACES[place]
+        ends = ["\n"] * len(lines)
+        if at is None:
+            ends[row] = brk
+        else:
+            lines[row] = lines[row][:at] + brk + lines[row][at:]
+        text = "".join(map(str.__add__, lines, ends))
+        p.write_bytes(text.encode())
+        got = dataset_outcome(p)
+        p.write_text("\n".join(text.splitlines()) + "\n", encoding="utf-8")
+        assert dataset_outcome(p) == got
+        if not place.startswith("body"):
+            return
+        try:
+            table = _parse_rows(text.splitlines()[5:], p, 6, 4)
+        except FileFormatError as exc:
+            assert got == str(exc)
+            return
+        if isinstance(got, str):
+            assert re.match(rf"{re.escape(str(p))}:\d+: (non-finite value|non-integer code) ", got)
+        else:
+            assert got[0] == table.view(np.int64).tolist()
+
+    def test_crlf_file_reads_through_the_c_reader(self, tmp_path, monkeypatch):
+        # A file of the benchmark's disc_codes shape with every line ended
+        # by "\r\n" reads as written, and numpy's C reader reads its body.
+        ds = disc_codes_shape()
+        p = tmp_path / "d.csv"
+        write_dataset(ds, p)
+        p.write_bytes(p.read_bytes().replace(b"\n", b"\r\n"))
+
+        def no_line_loop(*args):
+            raise AssertionError("the body went to the line loop")
+
+        monkeypatch.setattr(dataio, "_parse_rows", no_line_loop)
+        back = read_dataset(p)
+        assert back.latents.tobytes() == ds.latents.tobytes()
+        assert [col.values.tobytes() for col in back.attributes] == [
+            col.values.tobytes() for col in ds.attributes
+        ]
+        assert (back.names, back.regularized_map) == (ds.names, ds.regularized_map)
 
 
 class TestReportRoundTrip:

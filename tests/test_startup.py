@@ -4,7 +4,9 @@ dmig imports no scipy: importing the package and evaluating any dataset,
 continuous pairs included and with --workers, load no scipy module.
 Importing the package loads no numpy and leaves the environment alone;
 the CLI entry runs numpy's BLAS on one thread unless the caller set a
-thread count, and forks its epoch processes without multiprocessing.
+thread count, and forks its epoch processes without multiprocessing. A
+run that evaluates with one worker, as each epoch process does, loads no
+thread pool.
 Each test starts its own interpreter, since this one has scipy and numpy
 loaded.
 """
@@ -51,6 +53,29 @@ def scipy_modules_after(code: str) -> list[str]:
     return json.loads(run_child(["-c", code + probe]))
 
 
+def module_run(argv: list, probe: str, **preset: str) -> str:
+    """Run `python -m dmig *argv` to exit 0 in a fresh interpreter, then probe.
+
+    Returns the last line that probe printed; probe may use json and sys.
+    """
+    code = (
+        "import json, runpy, sys\n"
+        f"sys.argv = {['dmig', *map(str, argv)]!r}\n"
+        "try:\n"
+        "    runpy.run_module('dmig', run_name='__main__')\n"
+        "except SystemExit as exc:\n"
+        "    assert exc.code == 0, exc.code\n"
+    )
+    return run_child(["-c", code + probe], **preset)
+
+
+def write_golden_datasets(tmp_path: Path, *names: str) -> list[str]:
+    paths = [str(tmp_path / f"{name}.csv") for name in names]
+    for name, path in zip(names, paths):
+        write_dataset(DATASETS[name](), path)
+    return paths
+
+
 def eval_code(*argv) -> str:
     return f"import dmig.cli\nassert dmig.cli.main({['eval', *map(str, argv)]!r}) == 0"
 
@@ -88,23 +113,37 @@ def test_continuous_eval_loads_no_scipy(tmp_path, workers):
 
 def test_series_eval_through_the_entry_point_loads_no_process_pool(tmp_path):
     # Epoch processes are plain forks: no multiprocessing machinery loads.
-    paths = []
-    for name in ("discrete", "noisy_discrete", "sentinel"):
-        paths.append(str(tmp_path / f"{name}.csv"))
-        write_dataset(DATASETS[name](), paths[-1])
-    argv = ["dmig", "eval", *paths, "--workers", "2", "--out", str(tmp_path / "run.series")]
-    code = (
-        "import json, runpy, sys\n"
-        f"sys.argv = {argv!r}\n"
-        "try:\n"
-        "    runpy.run_module('dmig', run_name='__main__')\n"
-        "except SystemExit as exc:\n"
-        "    assert exc.code == 0, exc.code\n"
+    paths = write_golden_datasets(tmp_path, "discrete", "noisy_discrete", "sentinel")
+    probe = (
         "print(json.dumps(sorted(m for m in sys.modules\n"
         "                        if m.partition('.')[0] == 'multiprocessing'\n"
         "                        or m == 'concurrent.futures.process')))"
     )
-    assert json.loads(run_child(["-c", code])) == []
+    argv = ["eval", *paths, "--workers", 2, "--out", tmp_path / "run.series"]
+    assert json.loads(module_run(argv, probe)) == []
+
+
+@pytest.mark.parametrize(
+    "names, workers",
+    [
+        pytest.param(("noisy_discrete",), 1, id="dataset"),
+        pytest.param(
+            ("discrete", "noisy_discrete", "sentinel"), 2, id="series",
+            marks=pytest.mark.skipif(
+                len(getattr(os, "sched_getaffinity", lambda _: ())(0)) < 2,
+                reason="a series goes to epoch processes only where two CPUs are allowed",
+            ),
+        ),
+    ],
+)
+def test_module_run_loads_no_thread_pool(tmp_path, names, workers):
+    # Only mi_profile's --workers > 1 branch starts a thread pool. A
+    # series goes to epoch processes, each of which evaluates with one
+    # worker.
+    paths = write_golden_datasets(tmp_path, *names)
+    probe = "print(json.dumps(sorted(m for m in sys.modules if m.partition('.')[0] == 'concurrent')))"
+    argv = ["eval", *paths, "--workers", workers, "--out", tmp_path / "out"]
+    assert json.loads(module_run(argv, probe)) == []
 
 
 def test_import_loads_no_numpy_and_leaves_environment():
@@ -145,18 +184,12 @@ def test_module_run_writes_golden_bytes(tmp_path):
 def test_module_run_keeps_blas_on_one_thread_unless_set(tmp_path, preset, threads):
     path, out = tmp_path / "noisy_discrete.csv", tmp_path / "out.report"
     write_dataset(DATASETS["noisy_discrete"](), path)
-    argv = ["dmig", "eval", str(path), "--workers", "1", "--out", str(out)]
-    code = (
-        "import runpy, sys\n"
-        f"sys.argv = {argv!r}\n"
-        "try:\n"
-        "    runpy.run_module('dmig', run_name='__main__')\n"
-        "except SystemExit as exc:\n"
-        "    assert exc.code == 0, exc.code\n"
+    probe = (
         "with open('/proc/self/status') as f:\n"
         "    print(next(line.split()[1] for line in f if line.startswith('Threads:')))"
     )
-    assert int(run_child(["-c", code], **preset)) == threads
+    argv = ["eval", path, "--workers", 1, "--out", out]
+    assert int(module_run(argv, probe, **preset)) == threads
     assert out.read_bytes() == (GOLDEN / "noisy_discrete.report").read_bytes()
 
 
