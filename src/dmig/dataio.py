@@ -10,9 +10,9 @@ Dataset files are CSV with a header declaring each column as `z<k>`
 `disc`. Optional `#map a<name> -> z<k>` lines before the header override
 the default identity assignment of attributes to latent dimensions.
 Each body cell reads as the value float() gives it, bit for bit. The
-reader decodes and splits only the head, through the header; the body
-stays bytes. A body of plain number bytes goes to numpy's C reader a
-block of lines at a time, so its lines are never all held at once; any
+reader reads the head a line at a time through the header, then the
+body's bytes in one read. A body of plain number bytes goes to numpy's
+C reader as those bytes, so its lines are never all held at once; any
 other body, or one the C reader rejects or reads into another shape, is
 split and goes to a line loop that names the first line it rejects.
 
@@ -24,6 +24,7 @@ a synthetic family.
 
 from __future__ import annotations
 
+import io
 import itertools
 import math
 import re
@@ -34,7 +35,9 @@ from typing import get_args
 import numpy as np
 
 from .errors import DmigError, FileFormatError
-from .estimation import _JITTER, _SEED, CONTINUOUS, DISCRETE, EstimatorConfig, SampleColumn
+from .estimation import (
+    _JITTER, _SEED, CONTINUOUS, DISCRETE, EstimatorConfig, SampleColumn, _integer_valued
+)
 from .metrics import _FLAGS, AttributeMetrics, Branch, Dataset, MetricReport
 from .synthetic import GroundTruth
 
@@ -71,6 +74,11 @@ def format_float(v: float) -> str:
     return repr(float(v))
 
 
+def _plain(text: str) -> bool:
+    """Whether text is free of "_" and non-ASCII: float() reads "1_0" as 10.0 and "١" as 1.0."""
+    return "_" not in text and text.isascii()
+
+
 def parse_float(token: str, where: str) -> float:
     if token == "+inf":
         return math.inf
@@ -79,8 +87,7 @@ def parse_float(token: str, where: str) -> float:
     if token == "nan":
         return math.nan
     try:
-        # float() also reads "1_0" as 10.0 and non-ASCII digits such as "١".
-        if "_" in token or not token.isascii():
+        if not _plain(token):
             raise ValueError
         v = float(token)
     except ValueError:
@@ -192,37 +199,27 @@ def write_dataset(ds: Dataset, path: str | Path) -> None:
     _write(path, "dataset", itertools.chain([lines], _body_blocks(ds)))
 
 
-# Bytes of a dataset file decoded and split into lines at a time.
-_BLOCK_BYTES = 1 << 16
-
-
 def _read_dataset_file(path: Path) -> tuple[list[str], bytes]:
     """The lines of a dataset file's head, and the bytes of its body.
 
-    The head runs through the column header, the first line after the
-    first that does not start with "#". Only the head is decoded and
-    split, into the lines that str.splitlines gives on the whole text;
-    the body is checked to be UTF-8 and kept as bytes.
+    The head runs through the first line that does not start with "#",
+    the column header of a file that starts with its format line. It is
+    read a "\n"-ended run at a time; a "\n" ends every line break it is
+    in and is part of no longer character, so each run splits into whole
+    lines as str.splitlines splits the whole text. The body is the rest
+    of the file in one read, checked to be UTF-8 and kept as bytes.
     """
     with open(path, "rb") as f:
-        size = _BLOCK_BYTES
-        while True:
-            prefix = f.read(size)
-            whole = len(prefix) < size
-            if not whole:
-                # A "\n" ends every line break it is in and is part of no
-                # longer character, so the bytes up to the last one are
-                # whole lines.
-                prefix = prefix[:prefix.rfind(b"\n") + 1]
-            lines = _decode(prefix, path).splitlines(keepends=True)
-            header = next((i for i, ln in enumerate(lines) if i and ln[:1] != "#"), len(lines))
-            if header < len(lines) or whole:
-                break
-            size *= 4
-            f.seek(0)
-        head = "".join(lines[:header + 1])
-        f.seek(len(head.encode("utf-8")))
-        body = f.read()
+        lines: list[str] = []
+        end = None  # the index after the head's last line
+        while end is None and (run := f.readline()):
+            start = len(lines)
+            lines += _decode(run, path, start).splitlines(keepends=True)
+            end = next((i + 1 for i in range(start, len(lines)) if lines[i][:1] != "#"), None)
+        head = "".join(lines[:end])
+        # From the raw file: a seek inside the buffer keeps it for read() to copy.
+        f.raw.seek(len(head.encode("utf-8")))
+        body = f.raw.readall()
     lines = head.splitlines()
     if not body.isascii():
         _decode(body, path, len(lines))
@@ -250,24 +247,7 @@ def _plain_rows(body: bytes) -> int | None:
     return body.count(b"\n") + (body[-1:] not in (b"", b"\n"))
 
 
-def _lines(body: bytes) -> Iterator[str]:
-    """The lines of body as str.splitlines gives them, made a block at a time.
-
-    A block is _BLOCK_BYTES or so and ends after a "\n", which cuts no
-    line break or character.
-    """
-
-    def blocks() -> Iterator[list[str]]:
-        lo = 0
-        while lo < len(body):
-            hi = body.find(b"\n", lo + _BLOCK_BYTES) + 1 or len(body)
-            yield body[lo:hi].decode("utf-8").splitlines()
-            lo = hi
-
-    return itertools.chain.from_iterable(blocks())
-
-
-def _parse_rows(body: Iterable[str], path: Path, first_lineno: int, width: int) -> np.ndarray:
+def _parse_rows(body: list[str], path: Path, first_lineno: int, width: int) -> np.ndarray:
     """The body's table, read line by line with float(); names a rejected line."""
     values: list[float] = []
     for lineno, line in enumerate(body, start=first_lineno):
@@ -276,9 +256,8 @@ def _parse_rows(body: Iterable[str], path: Path, first_lineno: int, width: int) 
             raise FileFormatError(
                 f"{path}:{lineno}: expected {width} cells, found {len(cells)}"
             )
-        if "_" in line or not line.isascii():
-            # float() reads "1_0" as 10.0 and "١" as 1.0; a cell is a plain number.
-            cell = next(c for c in cells if "_" in c or not c.isascii())
+        if not _plain(line):
+            cell = next(c for c in cells if not _plain(c))
             raise FileFormatError(f"{path}:{lineno}: not a plain number: {cell!r}")
         try:
             values += map(float, cells)
@@ -288,28 +267,26 @@ def _parse_rows(body: Iterable[str], path: Path, first_lineno: int, width: int) 
 
 
 def _parse_body(
-    body: bytes | list[str], rows: int, path: Path, first_lineno: int, width: int
+    body: bytes, plain_rows: int | None, path: Path, first_lineno: int, width: int
 ) -> np.ndarray:
     """The body's table, equal bit for bit to _parse_rows' or with its error.
 
-    A body still in bytes is plain (see _plain_rows) and has rows lines.
-    numpy's C reader, which calls the same strtod as float(), reads its
-    lines a block at a time, so that they are never all held at once. A
-    body that the C reader rejects or reads into another shape goes to
-    _parse_rows as every other body does.
+    plain_rows is _plain_rows(body). numpy's C reader, which calls the
+    same strtod as float(), reads a plain body's bytes, never holding all
+    its lines at once. Any other body, and one the C reader rejects or
+    reads into another shape, is decoded, split and sent to _parse_rows.
     """
-    if isinstance(body, bytes):
+    if plain_rows is not None:
         try:
             table = np.loadtxt(
-                _lines(body), delimiter=",", comments=None, dtype=np.float64, ndmin=2
+                io.BytesIO(body), delimiter=",", comments=None, dtype=np.float64, ndmin=2
             )
         except ValueError:
             pass
         else:
-            if table.shape == (rows, width):
+            if table.shape == (plain_rows, width):
                 return table
-        body = _lines(body)
-    return _parse_rows(body, path, first_lineno, width)
+    return _parse_rows(body.decode("utf-8").splitlines(), path, first_lineno, width)
 
 
 def _check_table(
@@ -322,7 +299,7 @@ def _check_table(
         raise FileFormatError(f"{path}:{first_lineno + r}: non-finite value {bad}")
     for name, kind, c in attr_cols:
         col = table[:, c]
-        if kind == DISCRETE and not np.array_equal(col, np.floor(col)):
+        if kind == DISCRETE and not _integer_valued(col):
             r = int(np.argmax(col != np.floor(col)))
             raise FileFormatError(
                 f"{path}:{first_lineno + r}: non-integer code {format_float(col[r])} "
@@ -383,10 +360,8 @@ def read_dataset(path: str | Path) -> Dataset:
         raise FileFormatError(f"{path}:{header_lineno}: duplicate attribute names")
     if len(names) > d:
         raise FileFormatError(f"{path}:{header_lineno}: {len(names)} attributes exceed D={d}")
-    rows = _plain_rows(body)
-    if rows is None:
-        body = list(_lines(body))
-        rows = len(body)
+    plain_rows = _plain_rows(body)
+    rows = len(body.decode("utf-8").splitlines()) if plain_rows is None else plain_rows
     if rows < 2:
         raise FileFormatError(f"{path}:{header_lineno}: a dataset needs at least 2 body rows")
     # Unmapped attributes keep their own index; a later claim of a taken
@@ -401,7 +376,7 @@ def read_dataset(path: str | Path) -> Dataset:
             raise FileFormatError(f"{path}:{lineno}: z{j + 1} is mapped to two attributes")
         taken.add(j)
 
-    table = _parse_body(body, rows, path, header_lineno + 1, len(tokens))
+    table = _parse_body(body, plain_rows, path, header_lineno + 1, len(tokens))
     del body  # not held while the Dataset is built, which keeps peak memory down
     _check_table(table, attr_cols, path, header_lineno + 1)
 

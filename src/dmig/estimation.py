@@ -61,6 +61,11 @@ def _as_readonly_f64(values: Iterable[float]) -> np.ndarray:
     return arr
 
 
+def _integer_valued(values: np.ndarray) -> bool:
+    """Whether every value is a whole number, as a discrete code must be."""
+    return np.array_equal(values, np.floor(values))
+
+
 @dataclass(frozen=True, eq=False)
 class SampleColumn:
     """One realized sample vector (an attribute a_i or a latent z_d).
@@ -84,7 +89,7 @@ class SampleColumn:
             raise DegenerateSampleError("SampleColumn values must be finite (no NaN/inf)")
         if self.kind not in (CONTINUOUS, DISCRETE):
             raise KindMismatchError(f"unknown column kind: {self.kind!r}")
-        if self.kind == DISCRETE and not np.array_equal(vals, np.floor(vals)):
+        if self.kind == DISCRETE and not _integer_valued(vals):
             raise KindMismatchError("discrete column contains non-integer codes")
         object.__setattr__(self, "values", vals)
 

@@ -39,6 +39,7 @@ from .estimation import (
     DISCRETE,
     EstimatorConfig,
     SampleColumn,
+    _integer_valued,
     _joint_entropy_discrete,
     entropy_continuous,
     entropy_discrete,
@@ -82,7 +83,7 @@ Branch = Literal["regularized", "unregularized"]
 
 
 def _infer_kind(values: np.ndarray) -> str:
-    return DISCRETE if np.array_equal(values, np.floor(values)) else CONTINUOUS
+    return DISCRETE if _integer_valued(values) else CONTINUOUS
 
 
 @dataclass(frozen=True, eq=False)

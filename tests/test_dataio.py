@@ -118,8 +118,8 @@ class TestDatasetRoundTrip:
         assert read_dataset(p).digest() == ds.digest()
 
     def test_header_longer_than_a_read_block(self, tmp_path):
-        # The reader finds the header in a first read of the file and reads
-        # more until it has the header whole: here it ends past 64 KiB.
+        # The reader reads the head a line at a time until it has the
+        # header whole, however long: here it ends past 64 KiB.
         rng = np.random.default_rng(5)
         ds = Dataset(
             latents=rng.standard_normal((3, 12_000)),
@@ -587,13 +587,15 @@ class TestLineBreaks:
         else:
             assert got[0] == table.view(np.int64).tolist()
 
-    def test_crlf_file_reads_through_the_c_reader(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("end", [b"\n", b"\r\n"], ids=["lf", "crlf"])
+    def test_crlf_file_reads_through_the_c_reader(self, tmp_path, monkeypatch, end):
         # A file of the benchmark's disc_codes shape with every line ended
-        # by "\r\n" reads as written, and numpy's C reader reads its body.
+        # by "\n" or by "\r\n" reads as written, and numpy's C reader
+        # reads its body.
         ds = disc_codes_shape()
         p = tmp_path / "d.csv"
         write_dataset(ds, p)
-        p.write_bytes(p.read_bytes().replace(b"\n", b"\r\n"))
+        p.write_bytes(p.read_bytes().replace(b"\n", end))
 
         def no_line_loop(*args):
             raise AssertionError("the body went to the line loop")
