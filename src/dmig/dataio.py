@@ -266,26 +266,23 @@ def _parse_rows(body: list[str], path: Path, first_lineno: int, width: int) -> n
     return np.array(values, dtype=np.float64).reshape(-1, width)
 
 
-def _parse_body(
-    body: bytes, plain_rows: int | None, path: Path, first_lineno: int, width: int
-) -> np.ndarray:
-    """The body's table, equal bit for bit to _parse_rows' or with its error.
+def _parse_body(body: bytes, rows: int, path: Path, first_lineno: int, width: int) -> np.ndarray:
+    """A plain body's table, equal bit for bit to _parse_rows' or with its error.
 
-    plain_rows is _plain_rows(body). numpy's C reader, which calls the
-    same strtod as float(), reads a plain body's bytes, never holding all
-    its lines at once. Any other body, and one the C reader rejects or
-    reads into another shape, is decoded, split and sent to _parse_rows.
+    rows is _plain_rows(body). numpy's C reader, which calls the same
+    strtod as float(), reads the body's bytes, never holding all its
+    lines at once. A body the C reader rejects or reads into another
+    shape is decoded, split and sent to _parse_rows.
     """
-    if plain_rows is not None:
-        try:
-            table = np.loadtxt(
-                io.BytesIO(body), delimiter=",", comments=None, dtype=np.float64, ndmin=2
-            )
-        except ValueError:
-            pass
-        else:
-            if table.shape == (plain_rows, width):
-                return table
+    try:
+        table = np.loadtxt(
+            io.BytesIO(body), delimiter=",", comments=None, dtype=np.float64, ndmin=2
+        )
+    except ValueError:
+        pass
+    else:
+        if table.shape == (rows, width):
+            return table
     return _parse_rows(body.decode("utf-8").splitlines(), path, first_lineno, width)
 
 
@@ -361,7 +358,9 @@ def read_dataset(path: str | Path) -> Dataset:
     if len(names) > d:
         raise FileFormatError(f"{path}:{header_lineno}: {len(names)} attributes exceed D={d}")
     plain_rows = _plain_rows(body)
-    rows = len(body.decode("utf-8").splitlines()) if plain_rows is None else plain_rows
+    # Any other body is split once, here, and goes to the line loop.
+    text = None if plain_rows is not None else body.decode("utf-8").splitlines()
+    rows = plain_rows if text is None else len(text)
     if rows < 2:
         raise FileFormatError(f"{path}:{header_lineno}: a dataset needs at least 2 body rows")
     # Unmapped attributes keep their own index; a later claim of a taken
@@ -376,8 +375,11 @@ def read_dataset(path: str | Path) -> Dataset:
             raise FileFormatError(f"{path}:{lineno}: z{j + 1} is mapped to two attributes")
         taken.add(j)
 
-    table = _parse_body(body, plain_rows, path, header_lineno + 1, len(tokens))
-    del body  # not held while the Dataset is built, which keeps peak memory down
+    if text is None:
+        table = _parse_body(body, rows, path, header_lineno + 1, len(tokens))
+    else:
+        table = _parse_rows(text, path, header_lineno + 1, len(tokens))
+    del body, text  # not held while the Dataset is built, which keeps peak memory down
     _check_table(table, attr_cols, path, header_lineno + 1)
 
     # Every check of Dataset and SampleColumn has been made, with a line.

@@ -5,19 +5,21 @@ Implements the estimator layer used by the metric computations:
 * plug-in Shannon entropy and mutual information for discrete columns,
 * Kozachenko-Leonenko kNN differential entropy for continuous columns,
 * the class-wise kNN mutual information of Ross (2014) of a discrete
-  column with each of its continuous partners (mi_classwise),
+  and a continuous column (mi_classwise),
 * KSG (type 1) kNN mutual information for continuous pairs,
 * conditional entropy assembled from the above,
 * Spearman rank correlation.
 
-All quantities are in nats. Continuous estimators break ties with
-deterministic, content-keyed jitter: the noise applied to a column is a
-pure function of the column bytes, so estimates are reproducible,
-symmetric in their arguments, and safe to compute concurrently. Mean
-reductions use math.fsum, which makes results invariant under joint row
-permutations of pre-jittered data. Every digamma argument is a positive
-integer and is evaluated exactly here, and the k-th neighbour search of
-a continuous pair is numpy's too: the package imports no scipy.
+All quantities are in nats. A discrete column finds its levels once, on
+first use, and the plug-in and class-wise estimators all read them.
+Continuous estimators break ties with deterministic, content-keyed
+jitter: the noise applied to a column is a pure function of the column
+bytes, so estimates are reproducible, symmetric in their arguments, and
+safe to compute concurrently. Mean reductions use math.fsum, which makes
+results invariant under joint row permutations of pre-jittered data.
+Every digamma argument is a positive integer and is evaluated exactly
+here, and the k-th neighbour search of a continuous pair is numpy's too:
+the package imports no scipy.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Literal
 
 import numpy as np
@@ -96,6 +99,21 @@ class SampleColumn:
     @property
     def n(self) -> int:
         return int(self.values.size)
+
+    @cached_property
+    def _levels(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each row's level, as a dense code in value order, and each level's count.
+
+        Found once per column, on first use, by one np.unique, so -0.0
+        and 0.0 are one level; the codes take the narrowest unsigned type
+        that holds them. Both arrays are read-only, as the values are. The
+        plug-in and class-wise estimators read them.
+        """
+        _, codes, counts = np.unique(self.values, return_inverse=True, return_counts=True)
+        codes = codes.astype(np.min_scalar_type(counts.size - 1))
+        for arr in (codes, counts):
+            arr.setflags(write=False)
+        return codes, counts
 
 
 @dataclass(frozen=True)
@@ -562,17 +580,16 @@ def _plugin_entropy(counts: np.ndarray, n: int) -> float:
 def entropy_discrete(a: SampleColumn) -> float:
     """Plug-in Shannon entropy of a discrete column, in nats."""
     _require_kind(a, DISCRETE, "entropy_discrete")
-    _, counts = np.unique(a.values, return_counts=True)
-    return _plugin_entropy(counts, a.n)
+    return _plugin_entropy(a._levels[1], a.n)
 
 
 def _joint_entropy_discrete(x: SampleColumn, y: SampleColumn) -> float:
     n = _require_aligned(x, y)
-    _, ix = np.unique(x.values, return_inverse=True)
-    y_codes, iy = np.unique(y.values, return_inverse=True)
+    ix, _ = x._levels
+    iy, y_counts = y._levels
     # One integer key per (x, y) cell: the same multiset of counts as a
     # row-wise unique of the pairs, and fsum ignores their order.
-    _, counts = np.unique(ix * y_codes.size + iy, return_counts=True)
+    _, counts = np.unique(ix.astype(np.intp) * y_counts.size + iy, return_counts=True)
     return _plugin_entropy(counts, n)
 
 
@@ -707,70 +724,57 @@ def mi_continuous_detailed(
     return MIEstimate(value=value, deterministic_relation=bool(np.any(eps == 0.0)))
 
 
-def mi_classwise(
-    codes: SampleColumn, partners: list[SampleColumn], cfg: EstimatorConfig
-) -> list[MIEstimate]:
-    """Mutual information of a discrete column and each continuous partner, in nats.
+def mi_classwise(codes: SampleColumn, cont: SampleColumn, cfg: EstimatorConfig) -> MIEstimate:
+    """Mutual information of a discrete and a continuous column, in nats.
 
     The class-wise kNN estimator of Ross 2014 (PLoS ONE 9(2): e87357):
 
         I = psi(N) - mean_i psi(N_c) + psi(k) - mean_i psi(m_i),
 
     where d_i is the distance from point i to its k-th nearest neighbour
-    within its own class c of the partner, m_i counts the points of the
-    whole partner strictly within d_i, i itself included, and N_c is the
-    size of class c. Small classes follow scikit-learn's _compute_mi_cd:
+    within its own class c of cont, m_i counts the points of the whole
+    of cont strictly within d_i, i itself included, and N_c is the size
+    of class c. Small classes follow scikit-learn's _compute_mi_cd:
     singleton classes are dropped, so N counts the other points, and a
     class uses k_c = min(k, N_c - 1) neighbours, psi(k) becoming the mean
-    of psi(k_c). Partners are jittered as in KSG and the codes are not;
-    only a partner carries units, and the estimate does not depend on
-    them. Where KSG's k joint neighbours of every point lie in its own
-    class, KSG counts the same N_c and m_i up to its jitter of the codes
-    and reduces in the same order, so the two mostly agree bit for bit.
+    of psi(k_c). cont is jittered as in KSG and the codes are not; only
+    cont carries units, and the estimate does not depend on them. Where
+    KSG's k joint neighbours of every point lie in its own class, KSG
+    counts the same N_c and m_i up to its jitter of the codes and reduces
+    in the same order, so the two mostly agree bit for bit.
 
-    The codes are partitioned once per call: one stable argsort lists the
-    rows class by class, and the singleton drop, k_c, psi(N_c), psi(k) and
-    psi(N) follow from it. Each partner is gathered into that order and
-    sorted within each class, the same values as a lexsort of (values,
-    codes); the k-th gaps, the marginal counts and the fsum reduction
-    follow. Partners are taken one at a time, so memory stays at a few
-    columns; mi_profile makes one call per discrete column.
+    The classes come from the column's level map: a stable argsort of its
+    narrow codes lists the rows class by class, and its level counts are
+    the class sizes. cont is gathered into that order and sorted within
+    each class, the same values as a lexsort of (values, codes); the k-th
+    gaps, the marginal counts and the fsum reduction follow.
     """
     _require_kind(codes, DISCRETE, "mi_classwise")
-    for cont in partners:
-        _require_kind(cont, CONTINUOUS, "mi_classwise")
-        _require_samples(_require_aligned(codes, cont), cfg.k)
-    order = np.argsort(codes.values, kind="stable")
-    starts = np.flatnonzero(_runs(codes.values[order]))
-    sizes = np.diff(np.append(starts, order.size))
+    _require_kind(cont, CONTINUOUS, "mi_classwise")
+    _require_samples(_require_aligned(codes, cont), cfg.k)
+    levels, sizes = codes._levels
     keep = sizes > 1
     if not keep.any():
         raise DegenerateSampleError("class-wise MI needs a class of at least 2 samples")
-    order = order[np.repeat(keep, sizes)]
+    order = np.argsort(levels, kind="stable")[np.repeat(keep, sizes)]
     sizes = sizes[keep]
     ks = np.minimum(cfg.k, sizes - 1)
     ends = np.cumsum(sizes)
-    classes = list(zip((ends - sizes).tolist(), ends.tolist(), ks.tolist()))
     n = order.size
     if ks.min() == cfg.k:
         psi_k = digamma(cfg.k)
     else:
         psi_k = math.fsum(sizes * _digamma_each(ks)) / n
-    psi_n = digamma(n)
-    psi_sizes = _digamma_each(np.repeat(sizes, sizes))
-    row = []
-    for cont in partners:
-        values = _jittered(cont)[order]
-        eps = np.empty(n)
-        for lo, hi, k in classes:
-            values[lo:hi].sort()
-            eps[lo:hi] = _kth_gap(values[lo:hi], k)
-        by_value = np.argsort(values)
-        m = _count_within(values[by_value], by_value, eps) + 1
-        mean_psi = math.fsum(psi_sizes + _digamma_each(m)) / n
-        row.append(MIEstimate(value=psi_k + psi_n - mean_psi,
-                              deterministic_relation=bool(np.any(eps == 0.0))))
-    return row
+    values = _jittered(cont)[order]
+    eps = np.empty(n)
+    for lo, hi, k in zip((ends - sizes).tolist(), ends.tolist(), ks.tolist()):
+        values[lo:hi].sort()
+        eps[lo:hi] = _kth_gap(values[lo:hi], k)
+    by_value = np.argsort(values)
+    m = _count_within(values[by_value], by_value, eps) + 1
+    mean_psi = math.fsum(np.repeat(_digamma_each(sizes), sizes) + _digamma_each(m)) / n
+    return MIEstimate(value=psi_k + digamma(n) - mean_psi,
+                      deterministic_relation=bool(np.any(eps == 0.0)))
 
 
 def mi_discrete(x: SampleColumn, y: SampleColumn) -> float:
@@ -802,9 +806,9 @@ def conditional_entropy(
     if a.kind == DISCRETE and b.kind == DISCRETE:
         return _joint_entropy_discrete(a, b) - entropy_discrete(b)
     if a.kind == DISCRETE:
-        return entropy_discrete(a) - mi_classwise(a, [b], cfg)[0].value
+        return entropy_discrete(a) - mi_classwise(a, b, cfg).value
     if b.kind == DISCRETE:
-        return entropy_continuous(a, cfg) - mi_classwise(b, [a], cfg)[0].value
+        return entropy_continuous(a, cfg) - mi_classwise(b, a, cfg).value
     return entropy_continuous(a, cfg) - mi_continuous_detailed(a, b, cfg).value
 
 

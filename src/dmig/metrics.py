@@ -225,21 +225,17 @@ def _entropy_cell(col: SampleColumn, cfg: EstimatorConfig) -> float:
     return entropy_discrete(col) if col.kind == DISCRETE else entropy_continuous(col, cfg)
 
 
-def _pair_cell(
-    x: SampleColumn, ys: list[SampleColumn], cfg: EstimatorConfig
-) -> list[tuple[bool, float]]:
-    """For each y of ys, (True, H(x, y)) for a discrete pair, else (False, I(x; y)).
+def _pair_cell(x: SampleColumn, y: SampleColumn, cfg: EstimatorConfig) -> tuple[bool, float]:
+    """(True, H(x, y)) for a discrete pair, else (False, I(x; y)).
 
     I(x; y) is class-wise when exactly one column is discrete, else KSG.
-    ys holds one column, or every continuous partner of a discrete x,
-    which then share one partition of x into its classes.
     """
-    y = ys[0]
     if x.kind == DISCRETE and y.kind == DISCRETE:
-        return [(True, _joint_entropy_discrete(x, y))]
+        return True, _joint_entropy_discrete(x, y)
     if x.kind == y.kind:
-        return [(False, mi_continuous_detailed(x, y, cfg).value)]
-    return [(False, est.value) for est in mi_classwise(x, ys, cfg)]
+        return False, mi_continuous_detailed(x, y, cfg).value
+    codes, cont = (x, y) if x.kind == DISCRETE else (y, x)
+    return False, mi_classwise(codes, cont, cfg).value
 
 
 def _pair_info(cell: tuple[bool, float], h_x: float, h_y: float | None) -> tuple[float, float]:
@@ -268,13 +264,12 @@ def mi_profile(ds: Dataset, cfg: EstimatorConfig, workers: int = 1) -> MIProfile
 
     Each cell is estimated once: the entropy of every attribute and every
     discrete latent, and one _pair_cell per (attribute, latent) pair and
-    per unordered attribute pair, except that the class-wise pairs of one
-    discrete column, attribute or latent, form one cell that partitions
-    its codes once. The kNN estimators are symmetric bit for bit, so
-    mi_raw equals mi_discrete on discrete cells and h_cond equals
-    conditional_entropy exactly. With workers > 1 the cells run in a
-    thread pool; each is a pure function of its inputs, so concurrent
-    results equal serial ones exactly.
+    per unordered attribute pair. Each discrete column finds its levels
+    once, in whichever of its cells first needs them. The kNN estimators
+    are symmetric bit for bit, so mi_raw equals mi_discrete on discrete
+    cells and h_cond equals conditional_entropy exactly. With workers > 1
+    the cells run in a thread pool; each is a pure function of its
+    inputs, so concurrent results equal serial ones exactly.
     """
     if ds.n <= cfg.k:
         raise MetricComputationError(
@@ -287,25 +282,15 @@ def mi_profile(ds: Dataset, cfg: EstimatorConfig, workers: int = 1) -> MIProfile
     entropies = [c for c, col in enumerate(cols) if c < m or col.kind == DISCRETE]
     pairs = [(i, m + j) for i in range(m) for j in range(d)]
     pairs += [(i, j) for i in range(m) for j in range(i + 1, m)]
-    # A pair with exactly one discrete column joins the group keyed by
-    # that column; every other pair is a group of its own. Groups keep
-    # the order of their first pairs, and a class-wise group can fail
-    # only in its partition, so the first failure names the same pair as
-    # one cell per pair would.
-    groups: dict[tuple[int, int | None], list[tuple[int, int]]] = {}
-    for x, y in pairs:
-        kx, ky = cols[x].kind, cols[y].kind
-        key = (x, y) if kx == ky else (x if kx == DISCRETE else y, None)
-        groups.setdefault(key, []).append((x, y))
     cells = [
         (f"entropy estimation failed for {labels[c]}", _entropy_cell, (cols[c], cfg))
         for c in entropies
     ]
-    for (own, _), group in groups.items():
-        x, y = group[0]
-        partners = [cols[b if a == own else a] for a, b in group]
-        context = f"MI estimation failed for {labels[x]} vs {labels[y]}"
-        cells.append((context, _pair_cell, (cols[own], partners, cfg)))
+    cells += [
+        (f"MI estimation failed for {labels[x]} vs {labels[y]}", _pair_cell,
+         (cols[x], cols[y], cfg))
+        for x, y in pairs
+    ]
     if workers > 1:
         # Imported here: it loads logging and more, which no serial run needs.
         from concurrent.futures import ThreadPoolExecutor
@@ -318,13 +303,12 @@ def mi_profile(ds: Dataset, cfg: EstimatorConfig, workers: int = 1) -> MIProfile
     h = dict(zip(entropies, values))
     mi_raw = np.zeros((m, d))
     h_cond = np.zeros((m, m))
-    for group, results in zip(groups.values(), values[len(entropies):]):
-        for (x, y), cell in zip(group, results):
-            if y >= m:
-                mi_raw[x, y - m] = _pair_info(cell, h[x], h.get(y))[0]
-            else:
-                h_cond[x, y] = _pair_info(cell, h[x], h[y])[1]
-                h_cond[y, x] = _pair_info(cell, h[y], h[x])[1]
+    for (x, y), cell in zip(pairs, values[len(entropies):]):
+        if y >= m:
+            mi_raw[x, y - m] = _pair_info(cell, h[x], h.get(y))[0]
+        else:
+            h_cond[x, y] = _pair_info(cell, h[x], h[y])[1]
+            h_cond[y, x] = _pair_info(cell, h[y], h[x])[1]
 
     h_marginal = np.array([h[i] for i in range(m)])
     mi = np.maximum(mi_raw, 0.0)

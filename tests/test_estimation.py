@@ -58,6 +58,7 @@ H_3CAT = 1.0397207708399179          # 1.5 * ln 2
 H_STD_NORMAL = 1.4189385332046727    # 0.5 * ln(2*pi*e)
 H_NORMAL_S01 = -0.883646559789373    # 0.5 * ln(2*pi*e*0.01)
 I_GAUSS_08 = 0.5108256237659907      # -0.5 * ln(1 - 0.8^2)
+I_GAUSS_09 = 0.8303656034108255      # -0.5 * ln(1 - 0.9^2)
 HC_GAUSS_08 = 0.908112909438682      # H_STD_NORMAL - I_GAUSS_08
 I_TABLE = 0.19274475702175753        # enumeration over {0.4,0.1,0.1,0.4}
 MAX = np.finfo(np.float64).max
@@ -109,6 +110,53 @@ class TestSampleColumn:
         col = cont([1.0, 2.0, 3.0])
         with pytest.raises(ValueError):
             col.values[0] = 9.0
+
+    def test_level_map(self):
+        for levels, dtype in ((256, np.uint8), (257, np.uint16)):
+            assert disc(np.arange(levels) * 3.0 - 7.0)._levels[0].dtype == dtype
+        # 300 levels, singletons among them, and -0.0 and 0.0 as one.
+        rng = np.random.default_rng(16)
+        values = np.append(rng.integers(-150, 148, 3000), [148, 149]).astype(float)
+        zero = np.flatnonzero(values == 0.0)
+        values[zero[::2]] = -0.0
+        x, y = disc(values), disc(rng.permutation(values))
+        z = cont(values + rng.standard_normal(values.size))
+        assert "_levels" not in vars(x)               # found on first use only
+        codes, counts = x._levels
+        _, ref_codes, ref_counts = np.unique(values, return_inverse=True, return_counts=True)
+        assert codes.dtype == np.uint16 and counts.size == 300
+        assert not (codes.flags.writeable or counts.flags.writeable)
+        assert np.array_equal(codes, ref_codes) and np.array_equal(counts, ref_counts)
+        assert np.unique(codes[zero]).size == 1
+
+        # The joint entropy and the class-wise estimate as they were
+        # computed before the level map.
+        _, ix = np.unique(x.values, return_inverse=True)
+        y_codes, iy = np.unique(y.values, return_inverse=True)
+        _, joint = np.unique(ix * y_codes.size + iy, return_counts=True)
+        assert estimation._joint_entropy_discrete(x, y) == estimation._plugin_entropy(
+            joint, x.n)
+
+        order = np.argsort(values, kind="stable")
+        starts = np.flatnonzero(estimation._runs(values[order]))
+        sizes = np.diff(np.append(starts, order.size))
+        keep = sizes > 1
+        order = order[np.repeat(keep, sizes)]
+        sizes = sizes[keep]
+        ks = np.minimum(CFG.k, sizes - 1)
+        ends = np.cumsum(sizes)
+        n = order.size
+        psi_k = math.fsum(sizes * _digamma_each(ks)) / n
+        ordered = _jittered(z)[order]
+        eps = np.empty(n)
+        for lo, hi, k in zip((ends - sizes).tolist(), ends.tolist(), ks.tolist()):
+            ordered[lo:hi].sort()
+            eps[lo:hi] = _kth_gap(ordered[lo:hi], k)
+        by_value = np.argsort(ordered)
+        m = _count_within(ordered[by_value], by_value, eps) + 1
+        mean_psi = math.fsum(_digamma_each(np.repeat(sizes, sizes)) + _digamma_each(m)) / n
+        assert ks.min() < CFG.k and n <= values.size - 2
+        assert mi_classwise(x, z, CFG).value == psi_k + digamma(n) - mean_psi
 
 
 class TestEstimatorConfig:
@@ -235,6 +283,18 @@ class TestMiContinuous:
         with pytest.raises(InsufficientSamplesError):
             mi_continuous_detailed(cont([1.0, 2.0]), cont([3.0, 4.0]), CFG)
 
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+        "ROADMAP item 9: the max-norm joint space mixes the units of x and y; "
+        "measured 0.539 / 0.817 / 0.546 at y x 1e-3 / 1 / 1e3"))
+    def test_closed_form_at_three_scales(self):
+        # Mutual information is invariant under a rescaling of either column.
+        rng = np.random.default_rng(2)
+        x = rng.standard_normal(8000)
+        y = 0.9 * x + math.sqrt(1.0 - 0.81) * rng.standard_normal(8000)
+        row = [mi_continuous_detailed(cont(x), cont(y * s), CFG).value for s in (1e-3, 1.0, 1e3)]
+        assert row == pytest.approx([I_GAUSS_09] * 3, abs=0.03)
+        assert np.ptp(row) <= 1e-12
+
     def test_raw_estimate_not_far_below_zero_independent(self):
         # statistical nonnegativity: small negative excursions only
         vals = []
@@ -287,13 +347,13 @@ class TestMiClasswise:
         row = mi_profile(ds, CFG).mi_raw[0]
         assert np.ptp(row) <= 1e-12
         assert row[1] == pytest.approx(mixture_mi(range(5), sigma), abs=0.03)
-        assert row[1] == mi_classwise(disc(a), [cont(z)], CFG)[0].value
+        assert row[1] == mi_classwise(disc(a), cont(z), CFG).value
 
     def test_equals_ksg_when_neighbours_stay_in_class(self):
         rng = np.random.default_rng(11)
         a = disc(rng.integers(0, 3, 2000))
         z = cont(a.values + 0.05 * rng.standard_normal(2000))
-        assert mi_classwise(a, [z], CFG) == [mi_continuous_detailed(a, z, CFG)]
+        assert mi_classwise(a, z, CFG) == mi_continuous_detailed(a, z, CFG)
 
     def test_singleton_class_dropped(self):
         rng = np.random.default_rng(12)
@@ -302,8 +362,8 @@ class TestMiClasswise:
         codes[17] = 9.0
         rest = np.arange(60) != 17
         with tie_noise(jitter=0.0):
-            est = mi_classwise(disc(codes), [cont(z)], CFG)[0].value
-            assert est == mi_classwise(disc(codes[rest]), [cont(z[rest])], CFG)[0].value
+            est = mi_classwise(disc(codes), cont(z), CFG).value
+            assert est == mi_classwise(disc(codes[rest]), cont(z[rest]), CFG).value
         assert est == pytest.approx(classwise_reference(codes, z, CFG.k), abs=1e-12)
 
     @pytest.mark.parametrize("small", [2, 3])
@@ -313,14 +373,14 @@ class TestMiClasswise:
         codes = np.concatenate([np.zeros(small), rng.integers(1, 3, 50)])
         z = codes + rng.standard_normal(codes.size)
         with tie_noise(jitter=0.0):
-            est = mi_classwise(disc(codes), [cont(z)], CFG)[0].value
+            est = mi_classwise(disc(codes), cont(z), CFG).value
         assert est == pytest.approx(classwise_reference(codes, z, CFG.k), abs=1e-12)
 
     def test_deterministic_relation_on_coincident_class(self):
         codes = disc([0, 1] * 20)
         z = cont(np.repeat([0.0, 1.0, 2.0, 3.0], 10))
         with tie_noise(jitter=0.0):
-            [est] = mi_classwise(codes, [z], CFG)
+            est = mi_classwise(codes, z, CFG)
         assert est.deterministic_relation and math.isfinite(est.value)
 
     @settings(max_examples=40, deadline=None, derandomize=True)
@@ -332,9 +392,9 @@ class TestMiClasswise:
         st.integers(min_value=0, max_value=4),
     )
     def test_profile_rows_equal_single_pairs(self, seed, k, jitter, singleton, small):
-        # mi_profile runs the class-wise pairs of a discrete column as one
-        # row: here attribute a against z1, z3 and attribute b, and each
-        # discrete latent against b. Singleton classes, classes of
+        # mi_profile runs each class-wise pair as its own cell: here
+        # attribute a against z1, z3 and attribute b, and each discrete
+        # latent against b. Singleton classes, classes of
         # N_c <= k and, at jitter 0, ties within a class (eps == 0) occur.
         rng = np.random.default_rng(seed)
         n = int(rng.integers(12, 50))
@@ -357,7 +417,7 @@ class TestMiClasswise:
             rows = [(a, z1, p.mi_raw[0, 0]), (a, z3, p.mi_raw[0, 2]), (a, b, None),
                     (z2, b, p.mi_raw[1, 1]), (z4, b, p.mi_raw[1, 3])]
             for codes, z, got in rows:
-                est = mi_classwise(disc(codes), [cont(z)], cfg)[0].value
+                est = mi_classwise(disc(codes), cont(z), cfg).value
                 if got is None:
                     assert p.h_cond[0, 1] == entropy_discrete(disc(a)) - est
                     assert p.h_cond[1, 0] == entropy_continuous(cont(b), cfg) - est
@@ -377,9 +437,8 @@ class TestMiClasswise:
         ],
     )
     def test_rejects_unusable_pairs(self, x, y, error):
-        # Every partner is checked, not only the first.
         with pytest.raises(error):
-            mi_classwise(x, [cont(np.arange(x.n) + 0.5), y], CFG)
+            mi_classwise(x, y, CFG)
 
 
 class TestDigamma:
@@ -838,7 +897,7 @@ class TestInvariants:
                 entropy_continuous(cont(x), CFG),
                 mi_continuous_detailed(cont(x), cont(y), CFG).value,
                 mi_continuous_detailed(cont(y), cont(x), CFG).value,
-                mi_classwise(codes, [cont(y), cont(x)], CFG)[1].value,
+                mi_classwise(codes, cont(x), CFG).value,
             ]
         assert all(math.isfinite(v) for v in values)
         assert values[1] == values[2]
@@ -864,7 +923,7 @@ class TestInvariants:
             for seed in range(20):
                 with tie_noise(seed=seed):
                     out.append((
-                        mi_classwise(disc(codes), [cont(tied * scale)], CFG)[0].value,
+                        mi_classwise(disc(codes), cont(tied * scale), CFG).value,
                         mi_continuous_detailed(cont(tied * scale), cont(codes * scale),
                                                CFG).value))
             return np.mean(out, axis=0)

@@ -1,6 +1,8 @@
 """Metric-layer tests: profiles, MIG, DMIG, evaluation, and invariants."""
 
+import functools
 import math
+import sys
 from collections import Counter
 
 import numpy as np
@@ -160,12 +162,45 @@ class TestMiProfile:
     def test_serial_equals_concurrent(self):
         rng = np.random.default_rng(62)
         g = rng.standard_normal((800, 3))
-        ds = Dataset(
-            latents=g,
-            attributes=(cont(g[:, 0] + 0.1 * rng.standard_normal(800)), cont(g[:, 1])),
-        )
-        concurrent = mi_profile(ds, CFG, workers=4)
-        np.testing.assert_equal(vars(concurrent), vars(mi_profile(ds, CFG)))
+        noisy = g[:, 0] + 0.1 * rng.standard_normal(800)
+        a1, a2 = rng.integers(0, 3, 800), rng.integers(0, 5, 800)
+        z = np.column_stack([a1 + 0.3 * g[:, 0], a2, a1 + rng.integers(0, 2, 800), g[:, 1]])
+
+        def continuous():
+            return Dataset(latents=g, attributes=(cont(noisy), cont(g[:, 1])))
+
+        def mixed():
+            # Discrete attributes against discrete and continuous latents;
+            # each build has fresh columns, whose level maps the threads
+            # of the concurrent run find first.
+            return Dataset(latents=z, attributes=(disc(a1), disc(a2)))
+
+        assert mixed().latent_kinds == ("continuous", "discrete", "discrete", "continuous")
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)     # threads switch often, also inside a map's first use
+        try:
+            concurrent = [mi_profile(build(), CFG, workers=4) for build in (continuous, mixed)]
+        finally:
+            sys.setswitchinterval(interval)
+        for build, got in zip((continuous, mixed), concurrent):
+            np.testing.assert_equal(vars(got), vars(mi_profile(build(), CFG)))
+
+    def test_concurrent_failure_names_the_serial_pair(self):
+        # An all-distinct discrete latent has no class of 2 samples, so
+        # each continuous attribute's class-wise cell with it fails; the
+        # error names the first such pair at any number of workers.
+        rng = np.random.default_rng(64)
+        a, b, c = rng.integers(0, 3, 200), rng.standard_normal(200), rng.standard_normal(200)
+        lat = np.column_stack([b, rng.permutation(200), c])
+        ds = Dataset(latents=lat, attributes=(disc(a), cont(b), cont(c)))
+        messages = []
+        for workers in (1, 4):
+            with pytest.raises(MetricComputationError) as exc:
+                mi_profile(ds, CFG, workers=workers)
+            messages.append(str(exc.value))
+        assert messages[0] == messages[1]
+        assert messages[0].startswith(
+            "MI estimation failed for attribute '2' (index 1) vs latent z2: ")
 
     def test_estimator_error_carries_attribute_context(self):
         # a constant continuous attribute breaks the entropy estimator;
@@ -200,7 +235,7 @@ class TestMiProfile:
 
         calls = {"entropy": [], "pair": [], "mi_discrete": []}
         routed = Counter()
-        partitions = []
+        level_maps = []
 
         def counted(fn, kind):
             def wrapper(*args, **kwargs):
@@ -211,23 +246,21 @@ class TestMiProfile:
 
             return wrapper
 
-        classwise = estimation.mi_classwise
+        find_levels = SampleColumn._levels.func
 
-        def row(codes, partners, cfg):
-            # One partition of the codes serves every partner.
-            partitions.append(codes.values.tobytes())
-            for z in partners:
-                calls["pair"].append(frozenset({codes.values.tobytes(), z.values.tobytes()}))
-                routed["classwise"] += 1
-            return classwise(codes, partners, cfg)
+        def levels(col):
+            level_maps.append(col.values.tobytes())
+            return find_levels(col)
 
-        for mod in (estimation, metrics):
-            monkeypatch.setattr(mod, "mi_classwise", row)
+        cached = functools.cached_property(levels)
+        cached.__set_name__(SampleColumn, "_levels")
+        monkeypatch.setattr(SampleColumn, "_levels", cached)
         for name, kind in (
             ("entropy_discrete", "entropy"),
             ("entropy_continuous", "entropy"),
             ("_joint_entropy_discrete", "pair"),
             ("mi_continuous_detailed", "pair"),
+            ("mi_classwise", "pair"),
             ("mi_discrete", "mi_discrete"),
         ):
             wrapper = counted(getattr(estimation, name), kind)
@@ -243,12 +276,12 @@ class TestMiProfile:
         pairs += [frozenset({key[i], key[j]}) for i in range(3) for j in range(i + 1, 3)]
         assert Counter(calls["pair"]) == Counter(pairs)
         assert len(set(pairs)) == len(pairs) == 15
-        # Exactly one discrete column routes a pair to the class-wise row
-        # of that column, which is partitioned once: a1, a2, z1 and z2.
         assert routed["_joint_entropy_discrete"] == 5
         assert routed["mi_continuous_detailed"] == 2
-        assert routed["classwise"] == 8
-        assert sorted(partitions) == sorted(key[:2] + lat_key[:2])
+        # A pair with exactly one discrete column is one class-wise call.
+        assert routed["mi_classwise"] == 8
+        # Each discrete column finds its levels once: a1, a2, z1 and z2.
+        assert sorted(level_maps) == sorted(key[:2] + lat_key[:2])
         assert calls["mi_discrete"] == []
 
 
