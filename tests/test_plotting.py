@@ -1,10 +1,16 @@
 """Plot spec validation, and how series points are grouped and marked by attribute.
 
-The SVG bytes of real series are frozen through the CLI (test_cli.py).
+The SVG bytes of real series are frozen through the CLI (test_cli.py);
+those move whenever an estimator does. The SVG bytes of a hand-built
+series are frozen here, so they guard the SVG writer alone. Run this
+module as a script to write those two files again when the drawing
+changes on purpose.
 """
 
 import math
 import re
+import sys
+from pathlib import Path
 from xml.etree import ElementTree
 
 import pytest
@@ -125,3 +131,61 @@ def test_all_points_non_finite_still_plots():
     ElementTree.fromstring(svg)
     assert "<!-- skipped 4 non-finite points -->" in svg
     assert "nan" not in svg and "inf" not in svg
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def hand_series():
+    """3 epochs of 10 attributes, written out by hand rather than estimated.
+
+    Ten attributes take the palette into its second turn (triangles), two
+    names need escaping, and attribute n5 has no finite DMIG or SCC at
+    epoch 1, so each plot below skips one point. DMIG straddles 1.
+    """
+    names = ["p<q", "r&s"] + [f"n{i}" for i in range(2, 10)]
+    epochs = []
+    for t in range(3):
+        per = []
+        for i, name in enumerate(names):
+            bad = (t, i) == (1, 5)
+            per.append(AttributeMetrics(
+                name=name, mig=0.05 * i + 0.1 * t, dmig=math.nan if bad else 0.3 + 0.09 * i + 0.2 * t,
+                scc=None if bad else 0.95 - 0.07 * i - 0.05 * t, top_dim=i, runner_up_dim=None,
+                branch="unregularized", denominator=1.0, flags=frozenset(),
+            ))
+        epochs.append((t, MetricReport(
+            per_attribute=tuple(per), mean_mig=0.0, mean_dmig=0.0,
+            config_echo=EstimatorConfig(), dataset_digest="0",
+        )))
+    return epochs
+
+
+HAND_SVGS = {
+    "hand_mig_dmig.svg": PlotSpec("mig", "dmig"),
+    "hand_scc_mig_fixed.svg": PlotSpec("scc", "mig", x_range=(0.0, 1.0), y_range=(-0.5, 1.5)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HAND_SVGS))
+def test_hand_built_svg_bytes_frozen(name):
+    svg = render_series_scatter(hand_series(), HAND_SVGS[name])
+    assert svg.encode() == (GOLDEN / name).read_bytes()
+
+
+def test_hand_built_svgs_cover_the_writer():
+    mig_dmig, scc_mig = (render_series_scatter(hand_series(), HAND_SVGS[name])
+                         for name in sorted(HAND_SVGS))
+    for svg in (mig_dmig, scc_mig):
+        assert "<!-- skipped 1 non-finite points -->" in svg
+        assert "ap&lt;q" in svg and "ar&amp;s" in svg
+        assert svg.count("<polygon ") == 2 * 3 + 2    # n8 and n9: 3 markers and a swatch each
+    assert 'stroke-dasharray="4,3"' in mig_dmig
+    assert "stroke-dasharray" not in scc_mig
+
+
+if __name__ == "__main__":
+    GOLDEN.mkdir(exist_ok=True)
+    for name, spec in HAND_SVGS.items():
+        (GOLDEN / name).write_bytes(render_series_scatter(hand_series(), spec).encode())
+        print(f"wrote {GOLDEN / name}", file=sys.stderr)
