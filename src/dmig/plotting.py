@@ -84,6 +84,19 @@ def _fmt(v: float) -> str:
     return f"{v:.2f}"
 
 
+def _line(x1, y1, x2, y2, stroke: str = "black", extra: str = "") -> str:
+    """An SVG line between two points given as formatted coordinates."""
+    return (f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" '
+            f'stroke="{stroke}" stroke-width="1"{extra}/>')
+
+
+def _text(x, y, size: int, body: str, anchor: str = "", extra: str = "") -> str:
+    """An SVG label at a point given as formatted coordinates."""
+    anchor = f' text-anchor="{anchor}"' if anchor else ""
+    return (f'<text x="{x}" y="{y}" font-size="{size}"{anchor} '
+            f'font-family="sans-serif"{extra}>{body}</text>')
+
+
 def _polygon(shape, cx: float, cy: float, r: float, paint: str) -> str:
     points = " ".join(f"{_fmt(cx + r * u)},{_fmt(cy + r * v)}" for u, v in shape)
     return f'<polygon points="{points}" {paint}/>'
@@ -162,58 +175,29 @@ def render_series_scatter(
         out.append(f"<!-- skipped {skipped} non-finite points -->")
 
     # axes
-    out.append(
-        f'<line x1="{_LEFT}" y1="{_TOP + px_h}" x2="{_LEFT + px_w}" '
-        f'y2="{_TOP + px_h}" stroke="black" stroke-width="1"/>'
-    )
-    out.append(
-        f'<line x1="{_LEFT}" y1="{_TOP}" x2="{_LEFT}" y2="{_TOP + px_h}" '
-        f'stroke="black" stroke-width="1"/>'
-    )
+    base = _TOP + px_h
+    out.append(_line(_LEFT, base, _LEFT + px_w, base))
+    out.append(_line(_LEFT, _TOP, _LEFT, base))
     for i in range(5):
         fx = x_lo + (x_hi - x_lo) * i / 4
         fy = y_lo + (y_hi - y_lo) * i / 4
-        tx = sx(fx)
+        tx = _fmt(sx(fx))
         ty = sy(fy)
-        out.append(
-            f'<line x1="{_fmt(tx)}" y1="{_TOP + px_h}" x2="{_fmt(tx)}" '
-            f'y2="{_TOP + px_h + 5}" stroke="black" stroke-width="1"/>'
-        )
-        out.append(
-            f'<text x="{_fmt(tx)}" y="{_TOP + px_h + 20}" font-size="11" '
-            f'text-anchor="middle" font-family="sans-serif">{fx:.4g}</text>'
-        )
-        out.append(
-            f'<line x1="{_LEFT - 5}" y1="{_fmt(ty)}" x2="{_LEFT}" '
-            f'y2="{_fmt(ty)}" stroke="black" stroke-width="1"/>'
-        )
-        out.append(
-            f'<text x="{_LEFT - 8}" y="{_fmt(ty + 4)}" font-size="11" '
-            f'text-anchor="end" font-family="sans-serif">{fy:.4g}</text>'
-        )
-    out.append(
-        f'<text x="{_LEFT + px_w / 2:.2f}" y="{_H - 12}" font-size="13" '
-        f'text-anchor="middle" font-family="sans-serif">{spec.x_metric.upper()}</text>'
-    )
-    out.append(
-        f'<text x="18" y="{_TOP + px_h / 2:.2f}" font-size="13" '
-        f'text-anchor="middle" font-family="sans-serif" '
-        f'transform="rotate(-90 18 {_TOP + px_h / 2:.2f})">'
-        f"{spec.y_metric.upper()}</text>"
-    )
+        out.append(_line(tx, base, tx, base + 5))
+        out.append(_text(tx, base + 20, 11, f"{fx:.4g}", "middle"))
+        out.append(_line(_LEFT - 5, _fmt(ty), _LEFT, _fmt(ty)))
+        out.append(_text(_LEFT - 8, _fmt(ty + 4), 11, f"{fy:.4g}", "end"))
+    mid_y = f"{_TOP + px_h / 2:.2f}"
+    out.append(_text(f"{_LEFT + px_w / 2:.2f}", _H - 12, 13, spec.x_metric.upper(), "middle"))
+    out.append(_text(18, mid_y, 13, spec.y_metric.upper(), "middle",
+                     f' transform="rotate(-90 18 {mid_y})"'))
 
     # reference line at the ideal DMIG value
     if spec.y_metric == "dmig" and y_lo < 1.0 < y_hi:
         ry = sy(1.0)
-        out.append(
-            f'<line x1="{_LEFT}" y1="{_fmt(ry)}" x2="{_LEFT + px_w}" '
-            f'y2="{_fmt(ry)}" stroke="#555555" stroke-width="1" '
-            f'stroke-dasharray="4,3"/>'
-        )
-        out.append(
-            f'<text x="{_LEFT + px_w - 4}" y="{_fmt(ry - 5)}" font-size="10" '
-            f'text-anchor="end" font-family="sans-serif" fill="#555555">y=1</text>'
-        )
+        out.append(_line(_LEFT, _fmt(ry), _LEFT + px_w, _fmt(ry), "#555555",
+                         ' stroke-dasharray="4,3"'))
+        out.append(_text(_LEFT + px_w - 4, _fmt(ry - 5), 10, "y=1", "end", ' fill="#555555"'))
 
     for i, attr_pts in enumerate(pts.values()):
         out.extend(_marker(i, sx(x), sy(y)) for x, y in attr_pts)
@@ -224,11 +208,7 @@ def render_series_scatter(
         ly = _TOP + 10 + 20 * i
         # A name may hold any printable character but " ", "," and "=".
         label = name.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
-        out.append(_swatch(i, lx, ly))
-        out.append(
-            f'<text x="{lx + 18}" y="{ly + 10}" font-size="12" '
-            f'font-family="sans-serif">a{label}</text>'
-        )
+        out += [_swatch(i, lx, ly), _text(lx + 18, ly + 10, 12, f"a{label}")]
 
     out.append("</svg>")
     return "\n".join(out) + "\n"
