@@ -544,20 +544,31 @@ _JITTER = 1e-10
 _SEED = 0
 
 
+def _spread(values: np.ndarray) -> float:
+    """The standard deviation of values, finite for any finite values.
+
+    np.std of the values scaled by the power of two that brings their
+    largest magnitude into [0.5, 1), scaled back: exact where np.std
+    itself neither overflows nor underflows, and 0 for a constant array.
+    np.std sums in array order, so callers that must not depend on row
+    order pass the values sorted.
+    """
+    _, e = math.frexp(float(np.max(np.abs(values))))
+    return math.ldexp(float(np.std(np.ldexp(values, -e))), e)
+
+
 def _jittered(col: SampleColumn) -> np.ndarray:
     """Return column values with deterministic tie-breaking noise.
 
     The noise stream is keyed by (_SEED, column content), not by argument
     position, so mi(x, y) and mi(y, x) see identical point clouds and the
-    estimates agree bit for bit. The spread is np.std of the column scaled
-    by the power of two that brings its largest magnitude into [0.5, 1),
-    scaled back: exact where np.std itself neither overflows nor
-    underflows, and finite anywhere. A constant column returns the values
-    unchanged. Where adding the noise overflows float64, it is subtracted.
+    estimates agree bit for bit. Its amplitude is _JITTER times the
+    column's _spread, taken in row order, the rule KSG's unit scale
+    shares. A constant column returns the values unchanged. Where adding
+    the noise overflows float64, it is subtracted.
     """
     vals = col.values
-    _, e = math.frexp(float(np.max(np.abs(vals))))
-    sd = math.ldexp(float(np.std(np.ldexp(vals, -e))), e)
+    sd = _spread(vals)
     if sd == 0.0:
         return vals
     key = hashlib.blake2b(
@@ -704,11 +715,16 @@ def mi_continuous_detailed(
     are admitted here by jittering them into continuous treatment, but a
     pair with one discrete column is better served by mi_classwise. The
     raw estimate may be slightly negative; metric consumers clamp it.
+
+    The max-norm joint space compares distances along x with distances
+    along y, so, as Kraskov, Stoegbauer & Grassberger (2004) assume, each
+    jittered column is first divided by its _spread, taken over its sorted
+    values so that row order cannot move the scale. The estimate then does
+    not depend on either column's units. A constant column stays unscaled.
     """
     n = _require_aligned(x, y)
     _require_samples(n, cfg.k)
-    px = _jittered(x)
-    py = _jittered(y)
+    px, py = (_jittered(c) / (_spread(np.sort(c.values)) or 1.0) for c in (x, y))
 
     tree = cKDTree(px, py)
     eps = tree.query(cfg.k)

@@ -9,7 +9,7 @@ R2  permute the attributes, and the map and the names with them;
 R3  relabel a discrete attribute's codes injectively;
 R4  negate one latent (SCC may change sign);
 R6  rescale one continuous attribute: the other attributes' MIG and
-    DMIG stay (to 1e-12), a strict xfail until ROADMAP item 9 lands.
+    DMIG stay (to 1e-12).
 
 The design has one 4-level discrete attribute and two correlated
 continuous ones over D = 6 continuous latents, so no two runner-up
@@ -118,10 +118,6 @@ def test_r4_negated_latent(seed, bases):
         assert new.scc == pytest.approx(-old.scc if reg == j else old.scc, abs=1e-12)
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-    "ROADMAP item 9: H(c | b) takes KSG's I(b; c), which moves with b's units; c's DMIG "
-    "went 1.5692 -> 0.8938, 1.0224 -> 0.5794, -0.1307 -> -0.0779, 1.1372 -> 0.7176, "
-    "0.1964 -> 0.1133 and -0.1421 -> -0.0882 at seeds 0-5 with b x 1000, while a's did not move"))
 @pytest.mark.parametrize("seed", SEEDS)
 def test_r6_rescaled_attribute(seed, bases):
     ds, _ = design(seed)
