@@ -292,6 +292,15 @@ class TestMiContinuous:
         assert row == pytest.approx([I_GAUSS_09] * 3, abs=0.03)
         assert np.ptp(row) <= 1e-12
 
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+        "ROADMAP item 12: the jitter breaks the ties of a 17-level column at random, so "
+        "its KSG MI with itself reads 8.0693 against a plug-in entropy of 2.0203"))
+    def test_tied_column_against_itself_reads_its_entropy(self):
+        # A count ratio declared continuous: every value ties with others.
+        values = np.random.default_rng(1).binomial(16, 0.3, 8000) / 16
+        est = mi_continuous_detailed(cont(values), cont(values), CFG).value
+        assert est == pytest.approx(entropy_discrete(disc(values * 16)), abs=0.01)
+
     def test_raw_estimate_not_far_below_zero_independent(self):
         # statistical nonnegativity: small negative excursions only
         vals = []

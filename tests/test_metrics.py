@@ -345,6 +345,22 @@ class TestComputeMig:
         assert res.mig == 1.0
         assert res.runner_up_dim is None
 
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+        "ROADMAP item 20: plug-in MI of a 5-level attribute against an independent "
+        "64-level latent is biased up by about (5 - 1)(64 - 1)/(2N) nats, and the runner-up "
+        "takes the largest of 30 such cells; mean MIG reads 0.9503"))
+    def test_many_level_latents_leave_exact_copies_at_one(self):
+        # Each attribute is copied exactly into its latent, and 30 more
+        # latents are independent of both, so the true MIG is 1.
+        migs = []
+        for seed in range(5):
+            rng = np.random.default_rng(seed)
+            attrs = rng.integers(0, 5, (2000, 2)).astype(float)
+            lat = np.column_stack([attrs, rng.integers(0, 64, (2000, 30)).astype(float)])
+            ds = Dataset(latents=lat, attributes=(disc(attrs[:, 0]), disc(attrs[:, 1])))
+            migs += [r.mig for r in evaluate(ds, CFG).per_attribute]
+        assert np.mean(migs) == pytest.approx(1.0, abs=0.02)
+
 
 class TestComputeDmig:
     def test_correlated_discrete_ideal_is_one(self):
