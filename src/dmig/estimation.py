@@ -11,15 +11,16 @@ Implements the estimator layer used by the metric computations:
 * Spearman rank correlation.
 
 All quantities are in nats. A discrete column finds its levels once, on
-first use, and the plug-in and class-wise estimators all read them.
-Continuous estimators break ties with deterministic, content-keyed
-jitter: the noise applied to a column is a pure function of the column
-bytes, so estimates are reproducible, symmetric in their arguments, and
-safe to compute concurrently. Mean reductions use math.fsum, which makes
-results invariant under joint row permutations of pre-jittered data.
-Every digamma argument is a positive integer and is evaluated exactly
-here, and the k-th neighbour search of a continuous pair is numpy's too:
-the package imports no scipy.
+first use, by counting where its integer range allows; the plug-in,
+class-wise and Spearman estimators read them. Continuous estimators
+break ties with deterministic, content-keyed jitter: the noise applied
+to a column is a pure function of the column bytes, so estimates are
+reproducible, symmetric in their arguments, and safe to compute
+concurrently. Mean reductions use math.fsum, which makes results
+invariant under joint row permutations of pre-jittered data. Every
+digamma argument is a positive integer and is evaluated exactly here,
+and the k-th neighbour search of a continuous pair is numpy's too: the
+package imports no scipy.
 """
 
 from __future__ import annotations
@@ -104,13 +105,21 @@ class SampleColumn:
     def _levels(self) -> tuple[np.ndarray, np.ndarray]:
         """Each row's level, as a dense code in value order, and each level's count.
 
-        Found once per column, on first use, by one np.unique, so -0.0
-        and 0.0 are one level; the codes take the narrowest unsigned type
-        that holds them. Both arrays are read-only, as the values are. The
-        plug-in and class-wise estimators read them.
+        Found once per column, on first use, by np.bincount of each value's
+        exact offset from the minimum where the integer range is below N,
+        else by np.unique; -0.0 and 0.0 are one level. The codes take the
+        narrowest unsigned type that holds them; both arrays are read-only.
         """
-        _, codes, counts = np.unique(self.values, return_inverse=True, return_counts=True)
-        codes = codes.astype(np.min_scalar_type(counts.size - 1))
+        lo = float(self.values.min())
+        if float(self.values.max()) - lo < self.n:
+            offsets = (self.values - lo).astype(np.intp)
+            counts = np.bincount(offsets)
+            seen = counts > 0
+            counts = counts[seen]
+            codes = (np.cumsum(seen) - 1).astype(np.min_scalar_type(counts.size - 1))[offsets]
+        else:
+            _, codes, counts = np.unique(self.values, return_inverse=True, return_counts=True)
+            codes = codes.astype(np.min_scalar_type(counts.size - 1))
         for arr in (codes, counts):
             arr.setflags(write=False)
         return codes, counts
@@ -596,12 +605,15 @@ def entropy_discrete(a: SampleColumn) -> float:
 
 def _joint_entropy_discrete(x: SampleColumn, y: SampleColumn) -> float:
     n = _require_aligned(x, y)
-    ix, _ = x._levels
+    ix, x_counts = x._levels
     iy, y_counts = y._levels
-    # One integer key per (x, y) cell: the same multiset of counts as a
-    # row-wise unique of the pairs, and fsum ignores their order.
-    _, counts = np.unique(ix.astype(np.intp) * y_counts.size + iy, return_counts=True)
-    return _plugin_entropy(counts, n)
+    # One integer key per (x, y) cell, counted if there are at most N cells:
+    # the multiset of counts of a row-wise unique, and fsum ignores order.
+    keys = ix.astype(np.intp) * y_counts.size + iy
+    if x_counts.size * y_counts.size > n:
+        return _plugin_entropy(np.unique(keys, return_counts=True)[1], n)
+    counts = np.bincount(keys)
+    return _plugin_entropy(counts[counts > 0], n)
 
 
 def entropy_continuous(a: SampleColumn, cfg: EstimatorConfig) -> float:
@@ -833,8 +845,8 @@ def rankdata(values: np.ndarray) -> tuple[np.ndarray, int]:
 
     Tied values share the mean of their ranks; the ranks equal
     scipy.stats.rankdata(values, method="average"), float64 too. Every
-    member of a tie gets the same rank, so the order of tied values in the
-    sort does not matter and no stable sort is needed.
+    member of a tie gets the same rank, so no stable sort is needed.
+    spearman ranks only continuous columns by it.
     """
     order = np.argsort(values)
     ordered = values[order]
@@ -845,6 +857,19 @@ def rankdata(values: np.ndarray) -> tuple[np.ndarray, int]:
     return 0.5 * (count[dense] + count[dense - 1] + 1), count.size - 1
 
 
+def _centred_ranks(col: SampleColumn) -> tuple[np.ndarray, int]:
+    """2r - (N + 1) for each row's average rank r, as int64, and the distinct count.
+
+    The c_l rows of level l follow e_l - c_l lower rows, so a discrete
+    column's entry is 2e_l - c_l - N, read off its level counts.
+    """
+    if col.kind == DISCRETE:
+        codes, counts = col._levels
+        return (2 * np.cumsum(counts) - counts - col.n)[codes], counts.size
+    ranks, distinct = rankdata(col.values)
+    return (2.0 * ranks - (col.n + 1)).astype(np.int64), distinct
+
+
 def spearman(x: SampleColumn, y: SampleColumn) -> float:
     """Spearman rank correlation: Pearson correlation of average ranks.
 
@@ -852,29 +877,26 @@ def spearman(x: SampleColumn, y: SampleColumn) -> float:
     give 1.0, exactly reversed ranks give -1.0, and tie-free data uses
     the integer formula 1 - 6*sum(d^2)/(n*(n^2-1)). With ties, the three
     sums of the Pearson formula are exact integers, so the value depends
-    on no BLAS kernel; it makes no BLAS call.
+    on no BLAS kernel; it makes no BLAS call. Only a continuous column is
+    sorted; a discrete one's ranks are counted from its levels.
     """
     n = _require_aligned(x, y)
-    rx, distinct_x = rankdata(x.values)
-    ry, distinct_y = rankdata(y.values)
+    cx, distinct_x = _centred_ranks(x)
+    cy, distinct_y = _centred_ranks(y)
     for distinct, label in ((distinct_x, "x"), (distinct_y, "y")):
         if distinct < 2:
             raise UndefinedCorrelationError(
                 f"spearman undefined: column {label} is constant"
             )
-    if np.array_equal(rx, ry):
+    if np.array_equal(cx, cy):
         return 1.0
-    if np.array_equal(rx, (n + 1.0) - ry):
+    if np.array_equal(cx, -cy):
         return -1.0
     if distinct_x == distinct_y == n:
-        # Tie-free ranks are exact integers.
-        d = (rx - ry).astype(np.int64)
+        # Tie-free ranks are exact integers, and so is half their difference.
+        d = (cx - cy) // 2
         return 1.0 - (6.0 * _int_dot(d, d)) / (n * (n * n - 1.0))
-    # Average ranks are half-integers with mean exactly (n+1)/2, so twice
-    # each centred rank is an integer in [1-n, n-1]. The 4s that doubling
-    # puts into the sums cancel exactly in the quotient.
-    cx = (2.0 * rx - (n + 1)).astype(np.int64)
-    cy = (2.0 * ry - (n + 1)).astype(np.int64)
+    # The 4s that doubling puts into the sums cancel exactly in the quotient.
     return _int_dot(cx, cy) / math.sqrt(float(_int_dot(cx, cx)) * float(_int_dot(cy, cy)))
 
 

@@ -2,7 +2,10 @@
 
 import math
 import re
+import sys
+import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -277,6 +280,13 @@ class TestOracle:
         assert "describes 2 attributes but" in capsys.readouterr().err
 
 
+# Each frozen trajectory SVG and the plot flags that draw it.
+FROZEN_SVGS = {
+    "traj_mig_dmig.svg": ["--x", "mig", "--y", "dmig"],
+    "traj_scc_dmig_y0-2.svg": ["--x", "scc", "--y", "dmig", "--y-range", "0:2"],
+}
+
+
 class TestPlot:
     def make_series(self, tmp_path):
         args = ["synth", "--family", "trajectory", "--n", "300", "--epochs", "3",
@@ -288,15 +298,10 @@ class TestPlot:
         assert main(["eval", *datasets, "--out", str(out)]) == 0
         return out
 
-    @pytest.mark.parametrize(
-        "golden, flags",
-        [
-            ("traj_mig_dmig.svg", ["--x", "mig", "--y", "dmig"]),
-            ("traj_scc_dmig_y0-2.svg", ["--x", "scc", "--y", "dmig", "--y-range", "0:2"]),
-        ],
-    )
+    @pytest.mark.parametrize("golden, flags", FROZEN_SVGS.items())
     def test_svg_bytes_frozen(self, tmp_path, golden, flags):
-        # The golden SVGs were written by these same synth, eval and plot calls.
+        # The golden SVGs are written by these same synth, eval and plot
+        # calls when this file runs as a script.
         series = self.make_series(tmp_path)
         out = tmp_path / golden
         assert main(["plot", str(series), *flags, "--out", str(out)]) == 0
@@ -557,3 +562,11 @@ class TestHelp:
             main([*cmd, "--help"])
         assert exc.value.code == 0
         assert "usage" in capsys.readouterr().out
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp:
+        series = TestPlot().make_series(Path(tmp))
+        for name, flags in FROZEN_SVGS.items():
+            assert main(["plot", str(series), *flags, "--out", str(GOLDEN / name)]) == 0
+            print(f"wrote {GOLDEN / name}", file=sys.stderr)

@@ -822,6 +822,103 @@ class TestRanks:
         assert spearman(disc(x), disc(y)).hex() == ref.hex()
 
 
+def sorted_levels(values):
+    """A level map as one np.unique finds it, the path of a wide integer range."""
+    _, codes, counts = np.unique(values, return_inverse=True, return_counts=True)
+    return codes.astype(np.min_scalar_type(counts.size - 1)), counts
+
+
+def spearman_outcome(x, y):
+    """spearman's value in hex, or the message it refuses with."""
+    try:
+        return spearman(x, y).hex()
+    except UndefinedCorrelationError as exc:
+        return str(exc)
+
+
+def codes_pair(x, y):
+    return np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+
+
+RNG_COUNT = np.random.default_rng(28)
+SIGNED_ZERO = np.array([-1.0, -0.0, 0.0, 2.0, 0.0, -0.0, 2.0, -1.0, 0.0, -0.0, 2.0, 2.0])
+NEAR_2_53 = 2.0**53 + np.array([-3.0, -1.0, 0.0, 2.0, 6.0])
+BEYOND_2_53 = 2.0**60 + 256.0 * np.arange(4)
+
+
+class TestCounting:
+    """The counted level map, joint table and ranks against np.unique and rankdata.
+
+    Each case names whether the level map of x, that of y and the joint
+    table are counted (np.bincount) or sorted (np.unique); every estimate
+    must be bit for bit the sorting path's, and so must spearman against
+    rankdata's ranks of the same values.
+    """
+
+    @pytest.mark.parametrize(
+        "x, y, counted",
+        [
+            pytest.param(*codes_pair(RNG_COUNT.integers(-9, -4, 60), RNG_COUNT.integers(-3, 3, 60)),
+                         (True, True, True), id="negative_codes"),
+            pytest.param(SIGNED_ZERO, SIGNED_ZERO[::-1].copy(), (True, True, True), id="signed_zero"),
+            pytest.param(*codes_pair(np.full(40, 3.0), RNG_COUNT.integers(0, 4, 40)),
+                         (True, True, True), id="single_level"),
+            pytest.param(np.tile(NEAR_2_53, 4), np.repeat(NEAR_2_53, 4), (True, True, False),
+                         id="near_2_53"),
+            # Values 256 apart: a range of 768, counted at N = 800.
+            pytest.param(np.tile(BEYOND_2_53, 200), np.repeat(BEYOND_2_53[::-1], 200),
+                         (True, True, True), id="beyond_2_53"),
+            pytest.param(*codes_pair([-(2.0**53), 0.0, 2.0**53] * 4, np.arange(12) % 3),
+                         (False, True, True), id="wide_around_2_53"),
+            pytest.param(*codes_pair(RNG_COUNT.permutation(300), RNG_COUNT.permutation(300) % 7),
+                         (True, True, False), id="range_below_n"),
+            pytest.param(*codes_pair(RNG_COUNT.permutation(np.append(np.arange(299), 300)),
+                                     np.arange(300) % 7), (False, True, False), id="range_at_n"),
+            pytest.param(*codes_pair(np.arange(12) % 3, np.arange(12) % 4), (True, True, True),
+                         id="table_at_n"),
+            pytest.param(*codes_pair(np.arange(11) % 3, np.arange(11) % 4), (True, True, False),
+                         id="table_above_n"),
+        ],
+    )
+    def test_counting_equals_sorting(self, monkeypatch, x, y, counted):
+        calls = []
+        bincount = np.bincount
+        monkeypatch.setattr(np, "bincount", lambda a: calls.append(a.size) or bincount(a))
+        dx, dy = disc(x), disc(y)
+        n = x.size
+        found = []
+        for col, values in ((dx, x), (dy, y)):
+            before = len(calls)
+            codes, counts = col._levels
+            found.append(len(calls) > before)
+            ref_codes, ref_counts = sorted_levels(values)
+            assert codes.dtype == ref_codes.dtype and np.array_equal(codes, ref_codes)
+            assert counts.dtype == ref_counts.dtype and np.array_equal(counts, ref_counts)
+            assert entropy_discrete(col) == estimation._plugin_entropy(ref_counts, n)
+        before = len(calls)
+        (ix, kx), (iy, ky) = ((c, k.size) for c, k in map(sorted_levels, (x, y)))
+        joint = np.unique(ix.astype(np.intp) * ky + iy, return_counts=True)[1]
+        assert estimation._joint_entropy_discrete(dx, dy) == estimation._plugin_entropy(joint, n)
+        found.append(len(calls) > before)
+        assert tuple(found) == counted
+        # Level-count ranks, on one side or both, against rankdata's.
+        ref = spearman_outcome(cont(x), cont(y))
+        assert spearman_outcome(dx, dy) == spearman_outcome(dx, cont(y)) == ref
+        assert spearman_outcome(cont(x), dy) == ref
+
+    def test_mixed_spearman_sorts_only_the_continuous_side(self, monkeypatch):
+        rng = np.random.default_rng(29)
+        codes = rng.integers(0, 5, 500).astype(float)
+        z = codes + rng.standard_normal(500)
+        sorted_values = []
+        ranks = estimation.rankdata
+        monkeypatch.setattr(estimation, "rankdata",
+                            lambda v: sorted_values.append(v) or ranks(v))
+        value = spearman(disc(codes), cont(z))
+        assert len(sorted_values) == 1 and np.array_equal(sorted_values[0], z)
+        assert value == spearman(cont(codes), cont(z)) == spearman(cont(z), disc(codes))
+
+
 class TestInvariants:
     """Estimator-level properties from the module contract."""
 

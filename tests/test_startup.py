@@ -6,7 +6,8 @@ Importing the package loads no numpy and leaves the environment alone;
 the CLI entry runs numpy's BLAS on one thread unless the caller set a
 thread count, and forks its epoch processes without multiprocessing. A
 run that evaluates with one worker, as each epoch process does, loads no
-thread pool.
+thread pool. Only the CLI entry freezes the import heap for the
+collector; an in-process call of the CLI's main freezes nothing.
 Each test starts its own interpreter, since this one has scipy and numpy
 loaded.
 """
@@ -163,6 +164,21 @@ def test_dir_lists_every_public_name():
     names, public = json.loads(run_child(["-c", code]))
     assert public and set(public) <= set(names)
     assert names == sorted(names)
+
+
+def test_module_run_freezes_the_import_heap(tmp_path):
+    # dmig's own process freezes what importing numpy and dmig made, so
+    # the collector skips it, and the collector stays on.
+    paths = write_golden_datasets(tmp_path, "noisy_discrete")
+    probe = "import gc\nprint(json.dumps([gc.isenabled(), gc.get_freeze_count()]))"
+    enabled, frozen = json.loads(module_run(["eval", *paths, "--out", tmp_path / "out"], probe))
+    assert enabled and frozen > 0
+
+
+def test_in_process_main_freezes_nothing(tmp_path):
+    paths = write_golden_datasets(tmp_path, "noisy_discrete")
+    code = eval_code(*paths, "--out", tmp_path / "out") + "\nimport gc\nprint(gc.get_freeze_count())"
+    assert run_child(["-c", code]) == "0"
 
 
 def test_module_run_writes_golden_bytes(tmp_path):
