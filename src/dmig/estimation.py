@@ -10,8 +10,8 @@ Implements the estimator layer used by the metric computations:
 * conditional entropy assembled from the above,
 * Spearman rank correlation.
 
-All quantities are in nats. A discrete column finds its levels once, on
-first use, by counting where its integer range allows; the plug-in,
+All quantities are in nats. Each column finds its levels once, counted
+where its codes span fewer than N integers, else sorted; the plug-in,
 class-wise and Spearman estimators read them. Continuous estimators
 break ties with deterministic, content-keyed jitter: the noise applied
 to a column is a pure function of the column bytes, so estimates are
@@ -105,21 +105,22 @@ class SampleColumn:
     def _levels(self) -> tuple[np.ndarray, np.ndarray]:
         """Each row's level, as a dense code in value order, and each level's count.
 
-        Found once per column, on first use, by np.bincount of each value's
-        exact offset from the minimum where the integer range is below N,
-        else by np.unique; -0.0 and 0.0 are one level. The codes take the
-        narrowest unsigned type that holds them; both arrays are read-only.
+        Found once per column, on first use: a discrete column whose integer
+        range is below N by np.bincount of each value's exact offset from
+        the minimum, any other by rankdata's one sort; -0.0 and 0.0 are one
+        level. The codes take the narrowest unsigned type. Both arrays are
+        read-only and kept with the column: for a continuous attribute of a
+        Dataset, uint16 or uint32 codes and int64 counts, 10 to 12 bytes a row.
         """
         lo = float(self.values.min())
-        if float(self.values.max()) - lo < self.n:
+        if self.kind == CONTINUOUS or float(self.values.max()) - lo >= self.n:
+            codes, counts = rankdata(self.values)
+        else:
             offsets = (self.values - lo).astype(np.intp)
             counts = np.bincount(offsets)
             seen = counts > 0
             counts = counts[seen]
             codes = (np.cumsum(seen) - 1).astype(np.min_scalar_type(counts.size - 1))[offsets]
-        else:
-            _, codes, counts = np.unique(self.values, return_inverse=True, return_counts=True)
-            codes = codes.astype(np.min_scalar_type(counts.size - 1))
         for arr in (codes, counts):
             arr.setflags(write=False)
         return codes, counts
@@ -840,49 +841,38 @@ def conditional_entropy(
     return entropy_continuous(a, cfg) - mi_continuous_detailed(a, b, cfg).value
 
 
-def rankdata(values: np.ndarray) -> tuple[np.ndarray, int]:
-    """Average ranks from 1 and the number of distinct values.
+def rankdata(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each value's dense code in value order, and each code's count.
 
-    Tied values share the mean of their ranks; the ranks equal
-    scipy.stats.rankdata(values, method="average"), float64 too. Every
-    member of a tie gets the same rank, so no stable sort is needed.
-    spearman ranks only continuous columns by it.
+    Each run of equal values after one argsort is a code, so -0.0 and 0.0
+    share one and no stable sort is needed. The codes take the narrowest
+    unsigned type that holds them. SampleColumn._levels finds the levels
+    of every column it does not count with it.
     """
     order = np.argsort(values)
-    ordered = values[order]
-    first = _runs(ordered)
-    dense = np.empty(values.size, dtype=np.intp)
-    dense[order] = np.cumsum(first)
-    count = np.concatenate((np.flatnonzero(first), [values.size]))
-    return 0.5 * (count[dense] + count[dense - 1] + 1), count.size - 1
-
-
-def _centred_ranks(col: SampleColumn) -> tuple[np.ndarray, int]:
-    """2r - (N + 1) for each row's average rank r, as int64, and the distinct count.
-
-    The c_l rows of level l follow e_l - c_l lower rows, so a discrete
-    column's entry is 2e_l - c_l - N, read off its level counts.
-    """
-    if col.kind == DISCRETE:
-        codes, counts = col._levels
-        return (2 * np.cumsum(counts) - counts - col.n)[codes], counts.size
-    ranks, distinct = rankdata(col.values)
-    return (2.0 * ranks - (col.n + 1)).astype(np.int64), distinct
+    first = _runs(values[order])
+    counts = np.diff(np.append(np.flatnonzero(first), values.size))
+    # Without the first row's start, the running count is the code itself.
+    first[0] = False
+    codes = np.empty(values.size, dtype=np.min_scalar_type(counts.size - 1))
+    codes[order] = np.cumsum(first, dtype=codes.dtype)
+    return codes, counts
 
 
 def spearman(x: SampleColumn, y: SampleColumn) -> float:
     """Spearman rank correlation: Pearson correlation of average ranks.
 
+    Each row's 2r - (N + 1), for its average rank r, is the integer
+    2e_l - c_l - N of its level l: c_l rows follow e_l - c_l lower ones.
     Exact on the cases that matter downstream: identical rank vectors
     give 1.0, exactly reversed ranks give -1.0, and tie-free data uses
     the integer formula 1 - 6*sum(d^2)/(n*(n^2-1)). With ties, the three
     sums of the Pearson formula are exact integers, so the value depends
-    on no BLAS kernel; it makes no BLAS call. Only a continuous column is
-    sorted; a discrete one's ranks are counted from its levels.
+    on no BLAS kernel; it makes no BLAS call.
     """
     n = _require_aligned(x, y)
-    cx, distinct_x = _centred_ranks(x)
-    cy, distinct_y = _centred_ranks(y)
+    (cx, distinct_x), (cy, distinct_y) = (((2 * np.cumsum(c) - c - n)[codes], c.size)
+                                          for codes, c in (x._levels, y._levels))
     for distinct, label in ((distinct_x, "x"), (distinct_y, "y")):
         if distinct < 2:
             raise UndefinedCorrelationError(

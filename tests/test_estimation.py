@@ -777,17 +777,36 @@ class TestSpearman:
             y = cont(rng.standard_normal(50))
             assert -1.0 <= spearman(x, y) <= 1.0
 
+    def test_continuous_ranks_in_small_memory(self):
+        # Two correlated Gaussian columns at N = 2e5. Float average ranks
+        # turned into integers peaked at 12.40 MiB; the sorted level maps,
+        # kept with the columns, peak at 9.35 MiB. The bound is 1.23 times that.
+        x, y = (cont(v) for v in gauss_pair(0.8, 200_000, 44))
+        tracemalloc.start()
+        try:
+            spearman(x, y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 11.5 * 2**20
+
 
 class TestRanks:
     @settings(max_examples=100, deadline=None)
     @given(st.one_of(TIE_HEAVY, ROUNDED, TIE_FREE))
     def test_rankdata_equals_scipy_average(self, values):
         values = np.array(values)
-        ours, distinct = rankdata(values)
+        codes, counts = rankdata(values)
+        assert codes.dtype == np.min_scalar_type(counts.size - 1) and counts.dtype == np.int64
+        # Level l's c_l values follow e_l - c_l lower ones: their average
+        # rank from 1 is (2e_l - c_l + 1) / 2.
+        ours = ((2 * np.cumsum(counts) - counts + 1) / 2)[codes]
         ref = scipy_rankdata(values, method="average")
-        assert ours.dtype == ref.dtype
+        assert ours.dtype == ref.dtype == np.float64
         assert np.array_equal(ours, ref)
-        assert distinct == np.unique(values).size
+        _, inverse = np.unique(values, return_inverse=True)
+        assert np.array_equal(codes, inverse)
+        assert counts.size == np.unique(values).size
 
     @pytest.mark.parametrize("n", [2, 7, 1000, 2_000_000])
     def test_tie_free_spearman_equals_python_int_sum(self, n):
@@ -798,11 +817,17 @@ class TestRanks:
         d2 = sum((int(a) - int(b)) ** 2 for a, b in zip(x + 1, y + 1))
         assert spearman(cont(x), cont(y)) == 1.0 - (6.0 * d2) / (n * (n * n - 1.0))
 
-    @pytest.mark.parametrize("n", [20_000, 400_000])
-    def test_tied_spearman_equals_fraction_reference(self, n):
+    @pytest.mark.parametrize("n, kinds", [
+        pytest.param(20_000, (disc, disc), id="20000"),
+        pytest.param(400_000, (disc, disc), id="400000"),
+        pytest.param(20_000, (cont, cont), id="20000-cont"),
+        pytest.param(20_000, (disc, cont), id="20000-mixed"),
+    ])
+    def test_tied_spearman_equals_fraction_reference(self, n, kinds):
         # The Pearson formula on average ranks, its three sums exact in
         # Fractions over the contingency table. Up to n of about 3e5 a
         # float dot product of the centred ranks is exact too; 4e5 is past it.
+        # A tied continuous column is ranked through the sorted level map.
         rng = np.random.default_rng(n)
         x = rng.integers(0, 7, n).astype(float)
         y = x + rng.integers(0, 5, n)
@@ -819,11 +844,11 @@ class TestRanks:
         sxx = sum(c * rx[a] ** 2 for a, c in nx.items())
         syy = sum(c * ry[b] ** 2 for b, c in ny.items())
         ref = float(sxy) / math.sqrt(float(sxx) * float(syy))
-        assert spearman(disc(x), disc(y)).hex() == ref.hex()
+        assert spearman(kinds[0](x), kinds[1](y)).hex() == ref.hex()
 
 
 def sorted_levels(values):
-    """A level map as one np.unique finds it, the path of a wide integer range."""
+    """A level map as one np.unique finds it, the reference for rankdata's sort."""
     _, codes, counts = np.unique(values, return_inverse=True, return_counts=True)
     return codes.astype(np.min_scalar_type(counts.size - 1)), counts
 
@@ -850,9 +875,10 @@ class TestCounting:
     """The counted level map, joint table and ranks against np.unique and rankdata.
 
     Each case names whether the level map of x, that of y and the joint
-    table are counted (np.bincount) or sorted (np.unique); every estimate
-    must be bit for bit the sorting path's, and so must spearman against
-    rankdata's ranks of the same values.
+    table are counted (np.bincount) or sorted (rankdata, np.unique for the
+    table); every level map, the discrete and the continuous one, must be
+    np.unique's, every estimate bit for bit the sorting path's, and so
+    must spearman against the sorted ranks of the same continuous values.
     """
 
     @pytest.mark.parametrize(
@@ -889,11 +915,12 @@ class TestCounting:
         found = []
         for col, values in ((dx, x), (dy, y)):
             before = len(calls)
-            codes, counts = col._levels
+            levels = col._levels
             found.append(len(calls) > before)
             ref_codes, ref_counts = sorted_levels(values)
-            assert codes.dtype == ref_codes.dtype and np.array_equal(codes, ref_codes)
-            assert counts.dtype == ref_counts.dtype and np.array_equal(counts, ref_counts)
+            for codes, counts in (levels, cont(values)._levels):
+                assert codes.dtype == ref_codes.dtype and np.array_equal(codes, ref_codes)
+                assert counts.dtype == ref_counts.dtype and np.array_equal(counts, ref_counts)
             assert entropy_discrete(col) == estimation._plugin_entropy(ref_counts, n)
         before = len(calls)
         (ix, kx), (iy, ky) = ((c, k.size) for c, k in map(sorted_levels, (x, y)))
@@ -1056,3 +1083,8 @@ class TestInvariants:
         assert mi_discrete(disc(xd), disc(yd)) == mi_discrete(
             disc(xd[perm]), disc(yd[perm])
         )
+        # Spearman's sums are exact integers: no tolerance, whatever the kinds.
+        tied = np.round(y, 1)
+        for (fa, a), (fb, b) in (((disc, xd), (disc, yd)), ((cont, x), (cont, y)),
+                                 ((disc, xd), (cont, tied)), ((cont, tied), (cont, x))):
+            assert spearman(fa(a), fb(b)).hex() == spearman(fa(a[perm]), fb(b[perm])).hex()
