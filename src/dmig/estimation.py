@@ -168,7 +168,9 @@ class MIEstimate:
 # a finer grid: the points of a batch lie in few cells and share their
 # blocks, and a batch's arrays, with _nearest's chunks of _CHUNK entries,
 # take a few MiB at most, whatever the number of points. Only the grid
-# and a few words of state per point grow with it.
+# and a few words of state per point grow with it: each value in the
+# narrowest type that holds it (int16 levels, int32 counts and ranks), and
+# each index intp, which numpy's fancy indexing takes without a cast.
 _BLOCK_MAX = 64        # a point whose 3x3 block holds more, and more than k, moves finer
 _WIDEST = 11           # widest block half-width tried before a coarser grid
 _BATCH = 1 << 12       # points searched at once
@@ -204,8 +206,6 @@ class cKDTree:
         self.y = y
         self.by_x = np.argsort(x)
         self.by_y = np.argsort(y)
-        self.x_sorted = x[self.by_x]
-        self.y_sorted = y[self.by_y]
 
     def query(self, k: int) -> np.ndarray:
         """Each point's distance to its k-th nearest other point."""
@@ -229,8 +229,9 @@ class _Grid:
 
     def __init__(self, tree: cKDTree, level: int, rows: np.ndarray) -> None:
         self.side = math.ldexp(1.0, level)
-        rank, self.columns = self._ranks(tree.x_sorted, tree.by_x)
-        key, self.rows = self._ranks(tree.y_sorted, tree.by_y)
+        rank, self.columns = self._ranks(tree.x, tree.by_x)
+        key, self.rows = self._ranks(tree.y, tree.by_y)
+        key = key.astype(np.int64)
         key *= self.columns.size
         key += rank
         del rank
@@ -248,13 +249,17 @@ class _Grid:
         self.queue = order[queued]
         self.cells = (np.cumsum(first) - 1)[queued]
 
-    def _ranks(self, ordered: np.ndarray, order: np.ndarray):
-        """Each point's dense rank among the occupied cells of one axis, and those cells."""
+    def _ranks(self, values: np.ndarray, order: np.ndarray):
+        """Each point's dense int32 rank among the occupied cells of one axis, and those cells."""
+        cells = values[order]
         with np.errstate(over="ignore"):
-            cells = np.floor(np.clip(ordered / self.side, -2.0**60, 2.0**60))
+            cells /= self.side
+        np.clip(cells, -2.0**60, 2.0**60, out=cells)
+        np.floor(cells, out=cells)
         first = _runs(cells)
-        rank = np.empty(order.size, dtype=np.int64)
-        rank[order] = np.cumsum(first) - 1
+        rank = np.empty(order.size, dtype=np.int32)
+        rank[order] = np.cumsum(first, dtype=np.int32)
+        rank -= 1
         return rank, cells[first]
 
     def blocks(self, cells: np.ndarray, h: int):
@@ -358,7 +363,7 @@ def _search(tree: cKDTree, grid: _Grid, rows: np.ndarray, cells: np.ndarray,
     and whether its distance was found.
     """
     n = tree.x.size
-    count = np.empty(rows.size, dtype=np.int64)
+    count = np.empty(rows.size, dtype=np.int32)
     found = np.zeros(rows.size, dtype=bool)
     for i in range(0, rows.size, _BATCH):
         at, lo, hi, edges = grid.blocks(cells[i:i + _BATCH], h)
@@ -387,7 +392,8 @@ def _start_level(tree: cKDTree, k: int) -> int:
     n = tree.x.size
     q = [n // 4, (3 * n) // 4]
     with np.errstate(over="ignore", invalid="ignore"):
-        iqr = [float(v[q[1]] - v[q[0]]) for v in (tree.x_sorted, tree.y_sorted)]
+        iqr = [float(v[by[q[1]]] - v[by[q[0]]])
+               for v, by in ((tree.x, tree.by_x), (tree.y, tree.by_y))]
         iqr += [float(np.diff(np.partition(v, q)[q])[0]) for v in (tree.x + tree.y, tree.x - tree.y)]
         area = min(iqr[0] * iqr[1], iqr[2] * iqr[3] / 2)
     return int(_exponent(math.sqrt(k * area / n))) if 0.0 < area < math.inf else 1023
@@ -401,9 +407,9 @@ def _kth_distances(tree: cKDTree, kth: int) -> np.ndarray:
     order and _BATCH points at a time; a point in a crowded block moves to
     a finer grid, also _BATCH at a time, and one whose widest block holds
     fewer than kth + 1 points to a coarser one. So the memory is one
-    grid, a few words of state per point (about 160 bytes a point in all
-    on a Gaussian pair) and one batch's arrays, which do not grow with the
-    number of points.
+    grid, a few words of state per point (about 120 bytes a point in all,
+    with the tree's orders, on a Gaussian pair at N = 2e5) and one batch's
+    arrays, which do not grow with the number of points.
     """
     n = tree.x.size
     k = kth + 1
@@ -412,12 +418,12 @@ def _kth_distances(tree: cKDTree, kth: int) -> np.ndarray:
     # floor, its cell index would lose integer precision.
     norm = np.maximum(np.abs(tree.x), np.abs(tree.y))
     top = min(int(_exponent(norm.max(initial=0.0))), 1023)
-    floor = np.maximum(_exponent(norm) - 52, -1022)
-    level = np.clip(_start_level(tree, k), floor, top)
+    floor = np.maximum(_exponent(norm) - 52, -1022).astype(np.int16)
+    level = np.clip(_start_level(tree, k), floor, top).astype(np.int16)
     sparse_at = floor - 1                # finest level known to hold too few
     del norm, floor
-    dense_at = np.full(n, top + 1)       # coarsest level known to hold too many
-    moves = np.zeros(n, dtype=np.int64)
+    dense_at = np.full(n, top + 1, dtype=np.int16)   # coarsest level known to hold too many
+    moves = np.zeros(n, dtype=np.int32)
     pending = np.arange(n)
     while pending.size:
         moved = []
@@ -430,7 +436,7 @@ def _kth_distances(tree: cKDTree, kth: int) -> np.ndarray:
             # them here costs less than building one. That is known after
             # the last batch, so the first pass leaves them out. A crowded
             # block holds more than k points, so no row searched here is short.
-            most = np.where(sparse_at[rows] < lv - 1, max(_BLOCK_MAX, k), n)
+            most = np.where(sparse_at[rows] < lv - 1, max(_BLOCK_MAX, k), n).astype(np.int32)
             count, found = _search(tree, grid, rows, cells, 1, kth, out, most)
             dense = count > most
             del most
@@ -629,10 +635,11 @@ def entropy_continuous(a: SampleColumn, cfg: EstimatorConfig) -> float:
     _require_samples(a.n, cfg.k)
     eps = _kth_gap(np.sort(_jittered(a)), cfg.k)
     if np.any(eps == 0.0):
-        values, counts = np.unique(a.values, return_counts=True)
+        codes, counts = a._levels
         top = int(np.argmax(counts))
+        value = float(a.values[np.argmax(codes == top)])
         raise DegenerateSampleError(
-            f"coincident samples: {float(values[top])!r} holds {counts[top] / a.n:.1%} of "
+            f"coincident samples: {value!r} holds {counts[top] / a.n:.1%} of "
             f"{a.n} rows, so a k-th neighbor distance is zero and the differential entropy "
             "is undefined (tied values: declare the column discrete)"
         )
@@ -694,10 +701,10 @@ def _count_within(ordered: np.ndarray, order: np.ndarray, eps: np.ndarray) -> np
     first = _runs(ordered)
     u = ordered[first]
     below = np.concatenate((np.flatnonzero(first), [ordered.size]))
-    radius = eps[order]
-    live = radius > 0.0
-    x = ordered[live]
-    r = radius[live]
+    x, r, rows = ordered, eps[order], order
+    live = r > 0.0
+    if not live.all():
+        x, r, rows = x[live], r[live], rows[live]
     # A bound or distance past the float64 maximum is inf, still in order.
     with np.errstate(over="ignore"):
         lo = np.searchsorted(u, x - r, side="left")
@@ -713,7 +720,7 @@ def _count_within(ordered: np.ndarray, order: np.ndarray, eps: np.ndarray) -> np
                 break
             hi -= out
     counts = np.zeros(ordered.size, dtype=np.int64)
-    counts[order[live]] = below[hi] - below[lo] - 1
+    counts[rows] = below[hi] - below[lo] - 1
     return counts
 
 
@@ -745,8 +752,8 @@ def mi_continuous_detailed(
     # eps == 0 (>= k+1 coincident joint points) counts no marginal
     # neighbours and is reported through the deterministic-relation
     # diagnostic.
-    nx = _count_within(tree.x_sorted, tree.by_x, eps)
-    ny = _count_within(tree.y_sorted, tree.by_y, eps)
+    nx = _count_within(px[tree.by_x], tree.by_x, eps)
+    ny = _count_within(py[tree.by_y], tree.by_y, eps)
 
     mean_psi = math.fsum(_digamma_each(nx + 1) + _digamma_each(ny + 1)) / n
     value = digamma(cfg.k) + digamma(n) - mean_psi

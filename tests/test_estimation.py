@@ -599,6 +599,27 @@ def joint_points(family, n, seed):
     return np.column_stack([_jittered(cont(x)), _jittered(cont(y))])
 
 
+def wide_pair(n, seed):
+    """n points whose magnitudes span 1e-300 to 1e300 on both axes, with tie clusters."""
+    rng = np.random.default_rng(seed)
+    # A point's two coordinates share a decade, so the points near 1e-300
+    # are each other's neighbours and need the finest cells.
+    x, y = rng.choice([-1.0, 1.0], (2, n)) * rng.uniform(1.0, 10.0, (2, n))
+    scale = 10.0 ** rng.uniform(-300.0, 300.0, n)
+    x *= scale
+    y *= scale
+    # 30 clusters of 5 to 40 rows share their x; every other one its y too.
+    start = 0
+    rows = rng.permutation(n)
+    for c in range(30):
+        group = rows[start:start + int(rng.integers(5, 41))]
+        start += group.size
+        x[group] = x[group[0]]
+        if c % 2:
+            y[group] = y[group[0]]
+    return x, y
+
+
 def kth_joint(search, joint, k):
     if search is ScipyTree:
         return ScipyTree(joint).query(joint, k=[k + 1], p=np.inf)[0][:, 0]
@@ -635,6 +656,19 @@ class TestJointSearch:
         joint = np.array(pairs)
         k = data.draw(st.integers(1, min(5, len(pairs) - 1)))
         assert np.array_equal(kth_joint(cKDTree, joint, k), kth_joint(ScipyTree, joint, k))
+
+    @pytest.mark.parametrize("k", [3, 10])
+    def test_equal_to_kdtree_across_the_float_range(self, k):
+        # The grids' levels run from about -830 to 1000, far outside int8;
+        # points move to coarser grids again and again, and tied ones to
+        # finer grids. The marginal counts gather each column in the tree's
+        # order, as KSG does.
+        x, y = wide_pair(1000, 18)
+        tree = cKDTree(x, y)
+        eps = tree.query(k)
+        assert np.array_equal(eps, kth_joint(ScipyTree, np.column_stack([x, y]), k))
+        for values, by in ((x, tree.by_x), (y, tree.by_y)):
+            assert np.array_equal(_count_within(values[by], by, eps), kdtree_counts(values, eps))
 
     @pytest.mark.parametrize("k, cluster", [(100, 65), (100, 80), (100, 100)])
     def test_isolated_cluster_at_large_k(self, k, cluster):
@@ -673,7 +707,10 @@ class TestJointSearch:
     @pytest.mark.parametrize("family", ["outlier", "ties"])
     def test_exact_in_small_memory_at_25000_points(self, family):
         # The far point and the tie clusters each need grids of their own.
-        # 1.5 times the 5.8 MiB peak measured on ties.
+        # int64 levels, counts and ranks, with sorted copies of both columns
+        # kept, peaked at 5.50 MiB on outlier and 5.79 MiB on ties; narrow
+        # values and sorted values gathered where they are used peak at
+        # 4.35 and 4.64 MiB. The bound is 1.16 times the larger.
         joint = joint_points(family, 25_000, 5)
         tracemalloc.start()
         try:
@@ -681,13 +718,13 @@ class TestJointSearch:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 8.7 * 2**20
+        assert peak < 5.4 * 2**20
         assert np.array_equal(got, kth_joint(ScipyTree, joint, 3))
 
     def test_small_memory_at_25000_points(self):
         # Passes over all points at once peaked at 10.2 MiB here; batches
-        # of _BATCH points in cell order peak at 5.2 MiB, and the bound is
-        # 1.5 times that.
+        # of _BATCH points in cell order at 5.22 MiB, and narrow values with
+        # no kept sorted copies at 4.08 MiB. The bound is 1.23 times that.
         x, y = joint_points("gaussian0.9", 25_000, 5).T
         tracemalloc.start()
         try:
@@ -695,7 +732,23 @@ class TestJointSearch:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 7.9 * 2**20
+        assert peak < 5.0 * 2**20
+
+    @pytest.mark.parametrize("n, bound", [(25_000, 4.9), (200_000, 28.0)])
+    def test_ksg_cell_in_small_memory(self, n, bound):
+        # The whole KSG cell: search, marginal counts and reduction. With
+        # int64 levels, counts and ranks, sorted copies of both columns kept
+        # and the counts' copies of the live rows, it peaked at 5.59 MiB at
+        # N = 25 000 and 33.1 MiB at 2e5; it now peaks at 4.45 and 25.5 MiB,
+        # and each bound is 1.1 times that.
+        x, y = (cont(v) for v in joint_points("gaussian0.9", n, 5).T)
+        tracemalloc.start()
+        try:
+            mi_continuous_detailed(x, y, CFG)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound * 2**20
 
 
 class TestMiDiscrete:
