@@ -20,6 +20,7 @@ import numpy as np
 from .dataio import (
     _ATTRIBUTE_FIELDS,
     _dim_token,
+    _write,
     format_float,
     read_dataset,
     read_series,
@@ -301,7 +302,7 @@ def cmd_plot(args: argparse.Namespace) -> int:
         y_range=args.y_range,
     )
     svg = render_series_scatter(series, spec)
-    out.write_text(svg, encoding="utf-8", newline="\n")
+    _write(out, [svg])
     print(f"plot written to {out}")
     return 0
 
