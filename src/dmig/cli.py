@@ -62,13 +62,6 @@ def _print_report(report: MetricReport, heading: str | None = None) -> None:
     print(f"{'mean':<14}{_cell(report.mean_mig):>10}{_cell(report.mean_dmig):>10}")
 
 
-def _estimator_config(args: argparse.Namespace) -> EstimatorConfig:
-    try:
-        return EstimatorConfig(k=args.k)
-    except DmigError as exc:
-        raise SpecValidationError(f"invalid estimator flag: {exc}") from None
-
-
 def _out_path(flag: str | None, default: Path, inputs: list[str]) -> Path:
     """An explicit --out, whose directory must exist, else the default,
     which sits beside an input so that a missing input is named first.
@@ -139,12 +132,14 @@ def _evaluate_forked(paths: list[str], cfg: EstimatorConfig, cpus: list[int]) ->
 def _evaluate_epochs(paths: list[str], cfg: EstimatorConfig, workers: int) -> list[MetricReport]:
     """The reports of paths in order, or the failure the serial loop meets first.
 
-    In dmig's own process, up to `workers` processes share the epochs, one
-    per allowed CPU, since a class-wise row holds the GIL.
+    In dmig's own process, `workers` is capped at the allowed CPUs. Up to
+    that many processes then share the epochs, one per CPU, since a
+    class-wise row holds the GIL, and a lone epoch gets that many threads.
     """
     cpus = []
     if _OWN_PROCESS and hasattr(os, "sched_getaffinity"):
         cpus = sorted(os.sched_getaffinity(0))
+        workers = min(workers, len(cpus))
     n = min(workers, len(paths), len(cpus))
     if n > 1:
         shares = _evaluate_forked(paths, cfg, cpus[:n])
@@ -161,7 +156,7 @@ def _evaluate_epochs(paths: list[str], cfg: EstimatorConfig, workers: int) -> li
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    cfg = _estimator_config(args)
+    cfg = EstimatorConfig(k=args.k)
     if args.workers < 1:
         raise SpecValidationError(f"--workers must be >= 1, got {args.workers}")
     kind = "report" if len(args.dataset) == 1 else "series"
@@ -188,16 +183,6 @@ def _parse_pmf(text: str) -> tuple[tuple[float, ...], ...]:
         ) from None
 
 
-def _generate(gen, spec: SyntheticSpec):
-    """Run a generator; an allocation it cannot make is a usage error."""
-    try:
-        return gen(spec)
-    except MemoryError:
-        raise SpecValidationError(
-            f"--n {spec.n} samples of {spec.d_total} latent dims do not fit in memory"
-        ) from None
-
-
 def cmd_synth(args: argparse.Namespace) -> int:
     # --out-dir is created only once every flag is checked and the data
     # generated, so a rejected call leaves nothing behind.
@@ -209,17 +194,28 @@ def cmd_synth(args: argparse.Namespace) -> int:
             raise SpecValidationError(f"--epochs must be >= 1, got {args.epochs}")
         if not all(0.0 < s < math.inf for s in (args.noise_start, args.noise_end)):
             raise SpecValidationError("--noise-start and --noise-end must be finite and > 0")
-        schedule = tuple(np.geomspace(args.noise_start, args.noise_end, args.epochs))
-    spec = SyntheticSpec(
-        family=family,
-        n=args.n,
-        seed=args.seed,
-        rho=args.rho,
-        pmf=_parse_pmf(args.pmf) if family == "discrete_joint" else None,
-        noise_schedule=schedule,
-        d_total=args.d_total,
-    )
-    generated = _generate(FAMILIES[family], spec)
+    try:
+        # A schedule or data numpy cannot allocate, or a latent beyond float64, is refused.
+        with np.errstate(over="raise", invalid="raise"):
+            if family == "trajectory":
+                schedule = tuple(np.geomspace(args.noise_start, args.noise_end, args.epochs))
+            spec = SyntheticSpec(
+                family=family,
+                n=args.n,
+                seed=args.seed,
+                rho=args.rho,
+                pmf=_parse_pmf(args.pmf) if family == "discrete_joint" else None,
+                noise_schedule=schedule,
+                d_total=args.d_total,
+            )
+            generated = FAMILIES[family](spec)
+    except MemoryError:
+        epochs = f" in each of {args.epochs} epochs" if family == "trajectory" else ""
+        raise SpecValidationError(
+            f"--n {args.n} samples of {args.d_total} latent dims{epochs} do not fit in memory"
+        ) from None
+    except FloatingPointError:
+        raise SpecValidationError(f"--noise-start {args.noise_start} overflows float64") from None
     truth_path = out_dir / f"{family}.truth"
     if family == "trajectory":
         width = len(str(len(generated) - 1))
@@ -249,7 +245,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         raise FileFormatError(
             f"{truth_path} describes 2 attributes but {path} has M={ds.m}"
         )
-    profile = mi_profile(ds, _estimator_config(args))
+    profile = mi_profile(ds, EstimatorConfig(k=args.k))
     h, h_cond = profile.h_marginal, profile.h_cond
     rows = [
         ("h_a1", h[0], truth.h_a[0]),
@@ -397,12 +393,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_plot.add_argument("--x", required=True, choices=list(METRICS))
     p_plot.add_argument("--y", required=True, choices=list(METRICS))
     p_plot.add_argument("--out", default=None, help="output SVG path")
-    p_plot.add_argument(
-        "--x-range", type=_range_arg, default=None, help="fixed x axis as 'lo:hi'"
-    )
-    p_plot.add_argument(
-        "--y-range", type=_range_arg, default=None, help="fixed y axis as 'lo:hi'"
-    )
+    for axis in "xy":
+        p_plot.add_argument(
+            f"--{axis}-range", type=_range_arg, default=None,
+            help=f"fixed {axis} axis as 'lo:hi'; write a negative lo as --{axis}-range=-1:1",
+        )
     p_plot.set_defaults(func=cmd_plot)
 
     return parser

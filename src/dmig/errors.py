@@ -77,5 +77,5 @@ class FileFormatError(DmigError):
 
 
 class SpecValidationError(DmigError):
-    """A synthetic generation spec violates its invariants, or a CLI flag
-    or output path is refused (exit 2)."""
+    """A synthetic generation spec or an estimator setting violates its
+    invariants, or a CLI flag or output path is refused (exit 2)."""

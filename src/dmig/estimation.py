@@ -38,6 +38,7 @@ from .errors import (
     DegenerateSampleError,
     InsufficientSamplesError,
     KindMismatchError,
+    SpecValidationError,
     UndefinedCorrelationError,
 )
 
@@ -137,7 +138,7 @@ class EstimatorConfig:
 
     def __post_init__(self) -> None:
         if self.k < 1:
-            raise InsufficientSamplesError(f"k must be >= 1, got {self.k}")
+            raise SpecValidationError(f"k must be >= 1, got {self.k}")
 
 
 @dataclass(frozen=True)

@@ -267,14 +267,12 @@ def mi_profile(ds: Dataset, cfg: EstimatorConfig, workers: int = 1) -> MIProfile
     per unordered attribute pair. Each discrete column finds its levels
     once, in whichever of its cells first needs them. The kNN estimators
     are symmetric bit for bit, so mi_raw equals mi_discrete on discrete
-    cells and h_cond equals conditional_entropy exactly. With workers > 1
-    the cells run in a thread pool; each is a pure function of its
-    inputs, so concurrent results equal serial ones exactly.
+    cells and h_cond equals conditional_entropy exactly. Only kNN cells
+    read cfg.k, and each refuses N <= k, so an all-discrete dataset
+    evaluates at any k. With workers > 1 the cells run in a thread pool;
+    each is a pure function of its inputs, so concurrent results equal
+    serial ones exactly.
     """
-    if ds.n <= cfg.k:
-        raise MetricComputationError(
-            f"dataset has N={ds.n} samples but estimators need N >= k+1 with k={cfg.k}"
-        )
     m, d = ds.m, ds.d
     cols = list(ds.attributes) + [ds.latent_column(j) for j in range(d)]
     labels = [f"attribute '{name}' (index {i})" for i, name in enumerate(ds.names)]

@@ -80,6 +80,14 @@ def _auto_range(vals: list[float]) -> tuple[float, float]:
     return (lo - pad, hi + pad)
 
 
+def _axis(label: str, lo: float, hi: float, start: float, length: float):
+    """The width of lo:hi and the map from a value to its pixel, length < 0 upwards."""
+    width = hi - lo
+    if not 0.0 < width < math.inf:  # 0 where a lone value's +-0.5 is absorbed
+        raise SpecValidationError(f"the {label} axis range {lo!r}:{hi!r} has width {width!r}")
+    return width, lambda v: start + (v - lo) / width * length
+
+
 def _fmt(v: float) -> str:
     return f"{v:.2f}"
 
@@ -159,12 +167,8 @@ def render_series_scatter(
 
     px_w = _W - _LEFT - _RIGHT
     px_h = _H - _TOP - _BOTTOM
-
-    def sx(v: float) -> float:
-        return _LEFT + (v - x_lo) / (x_hi - x_lo) * px_w
-
-    def sy(v: float) -> float:
-        return _TOP + px_h - (v - y_lo) / (y_hi - y_lo) * px_h
+    x_w, sx = _axis("x", x_lo, x_hi, _LEFT, px_w)
+    y_w, sy = _axis("y", y_lo, y_hi, _TOP + px_h, -px_h)
 
     out = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" '
@@ -179,8 +183,8 @@ def render_series_scatter(
     out.append(_line(_LEFT, base, _LEFT + px_w, base))
     out.append(_line(_LEFT, _TOP, _LEFT, base))
     for i in range(5):
-        fx = x_lo + (x_hi - x_lo) * i / 4
-        fy = y_lo + (y_hi - y_lo) * i / 4
+        fx = x_lo + x_w * i / 4
+        fy = y_lo + y_w * i / 4
         tx = _fmt(sx(fx))
         ty = sy(fy)
         out.append(_line(tx, base, tx, base + 5))

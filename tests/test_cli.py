@@ -12,7 +12,7 @@ import pytest
 
 from dmig import (
     Dataset, SampleColumn, gaussian_truth, read_report, read_series, write_dataset,
-    write_truth,
+    write_series, write_truth,
 )
 from dmig import cli
 from dmig.cli import main
@@ -20,6 +20,7 @@ from dmig.synthetic import FAMILIES
 
 from conftest import tie_noise
 from test_golden import GOLDEN
+from test_plotting import report
 
 
 def ideal_binary(tmp_path, name="d.csv", permuted=False):
@@ -225,6 +226,28 @@ class TestSynth:
         assert err.startswith("error: --n 100000000000 samples") and err.count("\n") == 1
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            # numpy refuses the 72.8 TiB schedule at once, without allocating.
+            (["--epochs", "10000000000000"],
+             "--n 50 samples of 2 latent dims in each of 10000000000000 epochs do not fit"),
+            (["--noise-start", "1e308", "--noise-end", "1e307"],
+             "--noise-start 1e+308 overflows float64"),
+        ],
+        ids=["epochs", "noise"],
+    )
+    def test_unusable_trajectory_schedule_is_usage_error(self, tmp_path, capsys, flags, message):
+        out_dir = tmp_path / "new"
+        args = ["synth", "--family", "trajectory", "--n", "50", *flags, "--out-dir", str(out_dir)]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(args) == 2
+        assert caught == []
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
+        assert not out_dir.exists()
+
     def test_trajectory_writes_epoch_files(self, tmp_path):
         args = ["synth", "--family", "trajectory", "--n", "50", "--epochs", "4",
                 "--out-dir", str(tmp_path)]
@@ -342,6 +365,32 @@ class TestPlot:
     def test_same_axis_rejected(self, tmp_path):
         series = self.make_series(tmp_path)
         assert main(["plot", str(series), "--x", "mig", "--y", "mig"]) == 2
+
+    @pytest.mark.parametrize(
+        "dmig, flags, axis",
+        [
+            # A lone value's +-0.5 is absorbed at 1e16: a zero-width y axis.
+            pytest.param(1e16, [], "the y axis", id="zero-width"),
+            pytest.param(0.5, ["--x-range=-1e308:1e308"], "the x axis", id="overflowing-width"),
+        ],
+    )
+    def test_unusable_axis_width_is_usage_error(self, tmp_path, capsys, dmig, flags, axis):
+        series = tmp_path / "hand.series"
+        write_series([(t, report(("p", 0.1 * t, dmig))) for t in (0, 1)], series)
+        out = tmp_path / "p.svg"
+        assert main(["plot", str(series), "--x", "mig", "--y", "dmig", *flags,
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {axis} range ") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_negative_range_in_the_equals_form(self, tmp_path):
+        series = self.make_series(tmp_path)
+        out = tmp_path / "neg.svg"
+        args = ["plot", str(series), "--x", "mig", "--y", "dmig", "--x-range=-1:3"]
+        assert main([*args, "--out", str(out)]) == 0
+        # The first x tick is labelled with the range's negative lower bound.
+        assert 'text-anchor="middle" font-family="sans-serif">-1</text>' in out.read_text()
 
     def test_single_epoch_rejected(self, tmp_path):
         p = ideal_binary(tmp_path)

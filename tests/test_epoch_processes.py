@@ -3,7 +3,8 @@
 Run as its own program with several datasets and --workers N > 1, eval
 forks one process per allowed CPU, up to N and the number of datasets;
 each takes every n-th epoch. Its bytes, stdout, stderr and exit code
-must equal the serial loop's. In-process `dmig.cli.main` stays serial.
+must equal the serial loop's. One dataset gets a pool of at most one
+thread per allowed CPU. In-process `dmig.cli.main` stays serial.
 Failures cross the pipe pickled, so every error class must survive a
 pickle round trip. Each run is a fresh interpreter; subprocess.run
 returns only after every holder of its pipes has exited, so a child left
@@ -142,6 +143,30 @@ def test_one_allowed_cpu_takes_the_serial_path(tmp_path):
     serial = out.read_bytes()
     assert run_module([*paths, "--workers", 1, "--out", out])[0] == 0
     assert out.read_bytes() == serial
+
+
+@needs_affinity
+def test_one_dataset_starts_at_most_one_pool_thread_per_allowed_cpu(tmp_path):
+    # Each thread prints a line as it starts; --workers 8 is capped at the CPUs.
+    patch = (
+        "import threading\n"
+        "start = threading.Thread.start\n"
+        "threading.Thread.start = lambda self: print('thread', file=sys.stderr) or start(self)"
+    )
+    path = golden_series(tmp_path)[1]  # continuous_m3: 18 KSG and KL cells
+    out = tmp_path / "one.report"
+    code, _, _, stdout, stderr = run_module([path, "--workers", 1, "--out", out], patch=patch)
+    assert (code, stderr) == (0, "")
+    serial = out.read_bytes(), stdout
+    for cpus in ({CPUS[0]}, set(CPUS)):
+        out.unlink()
+        code, forks, left, stdout, stderr = run_module(
+            [path, "--workers", 8, "--out", out], cpus=cpus, patch=patch
+        )
+        assert (code, forks, left) == (0, 0, False)
+        assert (out.read_bytes(), stdout) == serial
+        assert stderr == "thread\n" * stderr.count("thread\n")
+        assert stderr.count("thread\n") <= len(cpus)
 
 
 @pytest.mark.skipif(len(CPUS) < 2, reason="forks only where two CPUs are allowed")

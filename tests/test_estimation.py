@@ -30,6 +30,7 @@ from dmig import (
     KindMismatchError,
     MIEstimate,
     SampleColumn,
+    SpecValidationError,
     UndefinedCorrelationError,
     entropy_continuous,
     entropy_discrete,
@@ -165,7 +166,8 @@ class TestEstimatorConfig:
         assert tuple(f.name for f in dataclasses.fields(EstimatorConfig)) == ("k",)
 
     def test_rejects_bad_values(self):
-        with pytest.raises(InsufficientSamplesError):
+        # k is a setting, so a bad one is a usage error (exit 2 in the CLI).
+        with pytest.raises(SpecValidationError, match="k must be >= 1, got 0"):
             EstimatorConfig(k=0)
 
 

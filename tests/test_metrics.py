@@ -216,10 +216,23 @@ class TestMiProfile:
             mi_profile(ds, CFG)
 
     def test_too_few_samples_for_k_rejected(self):
-        a = np.array([0.0, 1.0, 1.0])
-        ds = Dataset(latents=a[:, None], attributes=(disc(a),))
-        with pytest.raises(MetricComputationError, match=r"N=3 .* k=3"):
+        # The first kNN cell, the entropy of the continuous attribute, is refused.
+        a = np.array([0.5, 1.5, 2.5])
+        ds = Dataset(latents=a[:, None], attributes=(cont(a),))
+        with pytest.raises(
+            MetricComputationError, match=r"attribute '1' \(index 0\): .*N=3 with k=3"
+        ):
             mi_profile(ds, CFG)
+
+    def test_all_discrete_dataset_evaluates_at_any_k(self):
+        # No kNN estimator reads a discrete pair, so k cannot move the profile.
+        a1, a2 = np.array([0.0, 1.0, 1.0]), np.array([2.0, 2.0, 3.0])
+        ds = Dataset(
+            latents=np.column_stack([a1, a2, a1 + a2]), attributes=(disc(a1), disc(a2))
+        )
+        profiles = [mi_profile(ds, EstimatorConfig(k=k)) for k in (1, 3)]
+        for name in ("mi", "mi_raw", "h_marginal", "h_cond"):
+            assert getattr(profiles[1], name).tobytes() == getattr(profiles[0], name).tobytes()
 
     def test_each_column_and_pair_estimated_once(self, monkeypatch):
         # attribute kinds disc/disc/cont, latent kinds disc/disc/cont/cont
